@@ -79,8 +79,6 @@ def _lower_bound_fraction(n: int, d: Fraction) -> Fraction:
     p_new /= Fraction(n) ** n
     # Matching second draws: one hit on each class at its own probability.
     p_same = ((1 + d) * (1 - d)) ** half
-    if n % 2 == 1:
-        p_same *= 1
     p_same /= Fraction(n) ** n
     return p_new * p_same
 

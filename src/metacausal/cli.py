@@ -120,14 +120,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_discover(args) -> int:
+    try:
+        config = DiscoveryConfig(
+            k_max=args.kmax,
+            max_class_dev=args.dev,
+            resample_mode=args.mode,
+            master_seed=args.seed,
+            dominance_rule=args.dominance_rule,
+        )
+    except ValueError as exc:
+        raise SystemExit(_usage(str(exc))) from exc
     dataset = read_dataset_csv(Path(args.data))
-    config = DiscoveryConfig(
-        k_max=args.kmax,
-        max_class_dev=args.dev,
-        resample_mode=args.mode,
-        master_seed=args.seed,
-        dominance_rule=args.dominance_rule,
-    )
     result = recover_mechanism_count(dataset, config)
     out = Path(args.out)
     payload = {

@@ -231,7 +231,7 @@ class CsvFormatError(ValueError):
 
 
 def read_dataset_csv(path: str | Path) -> Dataset:
-    """Read a dataset CSV (and its metadata sidecar, if present)."""
+    """Read a dataset CSV and its sidecar; bad or empty data raise CsvFormatError."""
     path = Path(path)
     points: list[tuple[float, float]] = []
     labels: list[int] = []
@@ -245,11 +245,16 @@ def read_dataset_csv(path: str | Path) -> Dataset:
             if not row:
                 continue
             try:
-                points.append((float(row[0]), float(row[1])))
+                point = (float(row[0]), float(row[1]))
                 if has_labels:
                     labels.append(int(row[2]))
             except (ValueError, IndexError) as exc:
                 raise CsvFormatError(str(exc), rownum) from exc
+            if not np.all(np.isfinite(point)):
+                raise CsvFormatError(f"non-finite value in {row[:2]}", rownum)
+            points.append(point)
+    if not points:
+        raise CsvFormatError("no data rows after the header", 2)
     generator = None
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():

@@ -70,6 +70,12 @@ class DiscoveryConfig:
             )
         if self.resample_mode not in ("theoretical", "empirical"):
             raise ValueError(f"unknown resample mode {self.resample_mode!r}")
+        top = max(reference_values.MECHANISM_COUNTS)
+        if self.resample_mode == "empirical" and self.empirical_rates is None and self.k_max > top:
+            raise ValueError(
+                f"reference rates stop at k = {top}, got k_max = {self.k_max}; "
+                "give empirical rates or use the theoretical mode"
+            )
         if self.dominance_rule not in ("relative", "remainder"):
             raise ValueError(f"unknown dominance rule {self.dominance_rule!r}")
 

@@ -6,6 +6,10 @@ fitting, maximum-likelihood scale estimation, and an Anderson-Darling
 goodness-of-fit test against the Laplace distribution with parameters
 estimated from the sample.
 
+Line fits have one exact solver, the anchored weighted-median descent for
+simple L1 regression (Barrodale & Roberts 1973; Wesolowsky 1981), with a
+certified stop and ties broken toward the smallest (alpha, beta).
+
 The Anderson-Darling critical values are not taken from printed tables;
 they were calibrated once by Monte Carlo (see
 :func:`calibrate_critical_values`) and ship as a versioned JSON data file
@@ -45,16 +49,12 @@ __all__ = [
 # Scale floor: keeps log-densities finite on (near-)noiseless residuals.
 B_FLOOR = 1e-6
 
-# Below this many active points the exact two-point candidate enumeration is
-# used instead of IRLS; an optimal simple-linear L1 fit passes through two
-# data points, so enumeration certifies the optimum at small sizes.
-_ENUMERATION_LIMIT = 200
-
-_IRLS_EPS = 1e-9
-_IRLS_MAX_ITER = 100
-# Objective-stall tolerance: the terminal vertex snap supplies the last few
-# digits, so the iteration only needs to reach the right neighbourhood.
-_IRLS_REL_TOL = 1e-6
+# L1 descent: objectives this close (relative) tie, and residuals this close
+# to zero put a point on the line.
+_TIE_RTOL = 1e-12
+# Relative slack under which a point on the line is tried as an anchor; it
+# covers the rounding of the slack's sums.
+_CERTIFY_RTOL = 1e-9
 
 _AD_MIN_POINTS = 20
 
@@ -127,6 +127,9 @@ def _check_xyw(xs, ys, weights):
             raise ValueError("weights must match the data length")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
+    for name, arr in (("xs", x), ("ys", y), ("weights", w)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
     return x, y, w
 
 
@@ -134,57 +137,39 @@ def _l1_objective(x, y, w, alpha, beta):
     return float(np.sum(w * np.abs(y - alpha * x - beta)))
 
 
-def _pair_candidates(x, y):
-    """(alpha, beta) for every pair of points with distinct x."""
-    n = len(x)
-    i, j = np.triu_indices(n, k=1)
-    dx = x[j] - x[i]
-    keep = dx != 0.0
-    i, j, dx = i[keep], j[keep], dx[keep]
-    alpha = (y[j] - y[i]) / dx
-    beta = y[i] - alpha * x[i]
-    return alpha, beta
-
-
-def _best_candidate(x, y, w, alphas, betas):
-    """Lowest-objective candidate; ties resolved to smallest (alpha, beta)."""
-    obj = np.abs(y[None, :] - alphas[:, None] * x[None, :] - betas[:, None])
-    obj = obj @ w
-    best = float(np.min(obj))
-    tied = np.flatnonzero(obj <= best * (1.0 + 1e-9) + 1e-12)
-    order = np.lexsort((betas[tied], alphas[tied]))
-    pick = tied[order[0]]
-    return float(alphas[pick]), float(betas[pick]), float(obj[pick])
-
-
 def _weighted_lsq(x, y, w):
+    """Weighted least-squares line, computed about the weighted means."""
     sw = np.sum(w)
-    sx = np.dot(w, x)
-    sy = np.dot(w, y)
-    sxx = np.dot(w, x * x)
-    sxy = np.dot(w, x * y)
-    det = sxx * sw - sx * sx
-    if det <= 0 or not np.isfinite(det):
-        raise DegenerateFitError("x values carry no spread under the given weights")
-    alpha = (sxy * sw - sx * sy) / det
-    beta = (sy - alpha * sx) / sw
-    return alpha, beta
+    xm = np.dot(w, x) / sw
+    ym = np.dot(w, y) / sw
+    dx = x - xm
+    alpha = np.dot(w * dx, y - ym) / np.dot(w * dx, dx)
+    return alpha, ym - alpha * xm
 
 
 def l1_fit(xs, ys, weights=None) -> tuple[float, float]:
     """Weighted least-absolute-deviations line fit.
 
     Minimizes sum_i w_i * |y_i - (alpha*x_i + beta)| and returns
-    ``(alpha, beta)``.  Deterministic: exact ties are broken toward the
-    smallest alpha, then the smallest beta.
+    ``(alpha, beta)``.  Deterministic: among optimal lines, the one with
+    the smallest alpha, then the smallest beta, is returned.
 
-    Small problems (<= 200 points with positive weight) are solved exactly
-    by enumerating all two-point candidate lines.  Larger ones use
-    iteratively reweighted least squares with epsilon-smoothed weights,
-    followed by a snap onto the best nearby two-point vertex.
+    Anchored weighted-median descent (Barrodale & Roberts 1973; Wesolowsky
+    1981).  The best line through an anchor point has as slope the weighted
+    median of the slopes to the other points, so it passes through a second
+    point, the partner.  Starting at the point nearest the weighted
+    least-squares line, the descent re-anchors at each partner while the
+    objective falls.  It then tries every other point on the line as an
+    anchor, save those through which the line is provably the unique best,
+    and stops only when none gives a better line: a line optimal through
+    every point on it is optimal.  A move that keeps the objective within
+    1e-12 relative is taken when it lowers (alpha, beta) lexicographically.
+    Each move lowers the objective or (alpha, beta), so the descent ends.
 
     Raises
     ------
+    ValueError
+        If an input holds a non-finite value.
     DegenerateFitError
         If fewer than two points carry positive weight, or all positively
         weighted x values coincide.
@@ -196,69 +181,68 @@ def l1_fit(xs, ys, weights=None) -> tuple[float, float]:
     xa, ya, wa = x[active], y[active], w[active]
     if np.all(xa == xa[0]):
         raise DegenerateFitError("x values carry no spread under the given weights")
-
-    if len(xa) <= _ENUMERATION_LIMIT:
-        alphas, betas = _pair_candidates(xa, ya)
-        alpha, beta, _ = _best_candidate(xa, ya, wa, alphas, betas)
-        return alpha, beta
-
     alpha, beta = _weighted_lsq(xa, ya, wa)
-    obj = _l1_objective(xa, ya, wa, alpha, beta)
-    for _ in range(_IRLS_MAX_ITER):
-        r = ya - alpha * xa - beta
-        wr = wa / (np.abs(r) + _IRLS_EPS)
-        alpha_new, beta_new = _weighted_lsq(xa, ya, wr)
-        obj_new = _l1_objective(xa, ya, wa, alpha_new, beta_new)
-        if obj_new <= obj:
-            alpha, beta = alpha_new, beta_new
-        if abs(obj - obj_new) <= _IRLS_REL_TOL * (1.0 + obj):
-            obj = min(obj, obj_new)
-            break
-        obj = min(obj, obj_new)
-    return _vertex_descent(xa, ya, wa, alpha, beta)
+    return _vertex_descent(xa, ya, wa, int(np.argmin(np.abs(ya - alpha * xa - beta))))
 
 
-def _weighted_median_slope(x, y, w, anchor: int) -> tuple[float, int]:
-    """Optimal slope for lines pinned through ``anchor``: the weighted median
-    of pairwise slopes with weights w_k * |x_k - x_anchor|.  Also returns the
-    index of the median partner point."""
-    dx = x - x[anchor]
-    keep = dx != 0.0
-    idx = np.flatnonzero(keep)
-    slopes = (y[idx] - y[anchor]) / dx[idx]
-    v = w[idx] * np.abs(dx[idx])
-    order = np.argsort(slopes, kind="stable")
-    cum = np.cumsum(v[order])
-    pick = int(np.searchsorted(cum, 0.5 * cum[-1]))
-    j = idx[order[pick]]
-    return float(slopes[order[pick]]), int(j)
+def _anchored_line(x, y, w, anchor: int) -> tuple[float, float, int]:
+    """Best line through point ``anchor``, as ``(alpha, beta, partner)``.
 
-
-def _vertex_descent(x, y, w, alpha: float, beta: float) -> tuple[float, float]:
-    """Descend to an optimal two-point vertex from a warm start.
-
-    Classic anchored iteration for least-absolute-deviation lines: pin the
-    line at the data point with the smallest residual, re-solve the slope as
-    a weighted median of pairwise slopes (which lands on a second point),
-    re-anchor there, and repeat until the objective stops improving.  Each
-    step is exact, so the walk terminates on a vertex no single re-anchoring
-    can improve.
+    The slope is the lower weighted median of the slopes to the other points,
+    weighted by w_k * |x_k - x_anchor|.  Beta goes through the lower-index
+    point of the pair, so a pair always yields the same bits.
     """
-    best = (float(alpha), float(beta))
-    best_obj = _l1_objective(x, y, w, alpha, beta)
-    anchor = int(np.argmin(np.abs(y - alpha * x - beta)))
-    prev_obj = math.inf
-    for _ in range(60):
-        a, partner = _weighted_median_slope(x, y, w, anchor)
-        b = float(y[anchor] - a * x[anchor])
-        o = _l1_objective(x, y, w, a, b)
-        if o < best_obj:
-            best, best_obj = (a, b), o
-        if o >= prev_obj:  # anchored solves stopped making progress
-            break
-        prev_obj = o
-        anchor = partner
-    return best
+    dx = x - x[anchor]
+    # Points level with the anchor in x get slope +inf, which sorts last, and
+    # zero weight, so none of them is the median.  (No NaN: it slows the sort.)
+    slopes = np.divide(y - y[anchor], dx, out=np.full_like(dx, np.inf), where=dx != 0.0)
+    order = np.argsort(slopes)
+    cum = np.cumsum((w * np.abs(dx))[order])
+    partner = int(order[np.searchsorted(cum, 0.5 * cum[-1])])
+    alpha = float(slopes[partner])
+    lo = min(anchor, partner)
+    return alpha, float(y[lo] - alpha * x[lo]), partner
+
+
+def _pivots(x, y, w, alpha: float, beta: float, anchor: int, partner: int):
+    """Anchors to try: the partner, then the other points on the line.
+
+    A point k on the line is skipped when turning the line about it must
+    raise the objective: when h_k > |g_k|, with g_k the sum of
+    w_i*sign(r_i)*(x_i - x_k) over the points off the line and h_k the sum
+    of w_i*|x_i - x_k| over the points on it.
+    """
+    yield partner
+    r = y - alpha * x - beta
+    on = np.abs(r) <= _TIE_RTOL * (1.0 + np.abs(y) + np.abs(alpha * x))
+    if np.count_nonzero(on) > 2:
+        ws = np.where(on, 0.0, w * np.sign(r))
+        line = np.flatnonzero(on)
+        line = line[np.argsort(x[line])]
+        xk, cw, cwx = x[line], np.cumsum(w[line]), np.cumsum(w[line] * x[line])
+        h = xk * (2.0 * cw - cw[-1]) - (2.0 * cwx - cwx[-1])
+        slack = h - np.abs(np.dot(ws, x) - xk * np.sum(ws))
+        size = np.dot(w, np.abs(x)) + np.abs(xk) * np.sum(w)
+        for k in np.sort(line[slack <= _CERTIFY_RTOL * size]):
+            if k != anchor and k != partner:
+                yield int(k)
+
+
+def _vertex_descent(x, y, w, anchor: int) -> tuple[float, float]:
+    """Descend from the best line through ``anchor`` to the optimal vertex."""
+    alpha, beta, partner = _anchored_line(x, y, w, anchor)
+    ref = _l1_objective(x, y, w, alpha, beta)
+    while True:
+        tol = _TIE_RTOL * (1.0 + ref)
+        for pivot in _pivots(x, y, w, alpha, beta, anchor, partner):
+            a, b, p = _anchored_line(x, y, w, pivot)
+            obj = _l1_objective(x, y, w, a, b)
+            if obj < ref - tol or (obj <= ref + tol and (a, b) < (alpha, beta)):
+                break
+        else:
+            return alpha, beta
+        ref = min(ref, obj)
+        alpha, beta, anchor, partner = a, b, pivot, p
 
 
 def estimate_scale(residuals, weights=None) -> float:

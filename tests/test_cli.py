@@ -1,19 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from metacausal.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run_cli(args, cwd):
+    # An absolute path: a relative PYTHONPATH would resolve against ``cwd``.
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "metacausal.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -72,6 +79,25 @@ class TestDiscover:
         code = main(["discover", "--data", str(bad), "--out", str(tmp_path / "r.json")])
         assert code == 3
         assert "row 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [("x,y\n1.0,2.0\nnan,3.0\n", 3), ("x,y\n1.0,inf\n", 2), ("x,y\n", 2)],
+    )
+    def test_non_finite_or_empty_csv_is_io_error(self, tmp_path, capsys, text, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = main(["discover", "--data", str(bad), "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert f"row {row}" in capsys.readouterr().err
+
+    def test_empirical_kmax_above_reference_is_usage_error(self, tmp_path):
+        main(["gen", "--k", "1", "--n", "100", "--seed", "3", "--out", str(tmp_path / "d.csv")])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["discover", "--data", str(tmp_path / "d.csv"), "--kmax", "5",
+                  "--out", str(tmp_path / "r.json")])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestBounds:

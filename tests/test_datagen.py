@@ -141,6 +141,21 @@ class TestCsvRoundTrip:
             read_dataset_csv(path)
         assert err.value.row == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_row_number(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,y\n1.0,2.0\n3.0,{value}\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError) as err:
+            read_dataset_csv(path)
+        assert err.value.row == 3
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("x,y,label\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError) as err:
+            read_dataset_csv(path)
+        assert err.value.row == 2
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "nohdr.csv"
         path.write_text("1.0,2.0\n", encoding="utf-8")

@@ -28,6 +28,12 @@ class TestConfig:
             DiscoveryConfig(resample_mode="magic")
         with pytest.raises(ValueError):
             DiscoveryConfig(dominance_rule="other")
+        with pytest.raises(ValueError):
+            DiscoveryConfig(k_max=5)  # reference rates stop at k = 4
+
+    def test_kmax_beyond_reference_rates_needs_rates_or_bound(self):
+        assert DiscoveryConfig(k_max=5, resample_mode="theoretical").k_max == 5
+        assert DiscoveryConfig(k_max=5, empirical_rates={k: 0.5 for k in range(1, 6)}).k_max == 5
 
 
 class TestResampleBudgets:

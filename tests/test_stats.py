@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metacausal.stats import (
@@ -72,6 +72,46 @@ class TestSampleLaplace:
             )
 
 
+def _pair_candidates(x, y):
+    """(alpha, beta) for every pair of points with distinct x."""
+    n = len(x)
+    i, j = np.triu_indices(n, k=1)
+    dx = x[j] - x[i]
+    keep = dx != 0.0
+    i, j, dx = i[keep], j[keep], dx[keep]
+    alpha = (y[j] - y[i]) / dx
+    beta = y[i] - alpha * x[i]
+    return alpha, beta
+
+
+def _enumeration_oracle(x, y, w):
+    """Exact reference fit by enumerating every two-point line, O(n^3).
+
+    An optimal L1 line passes through two points with positive weight.
+    Returns the optimal objective and the smallest (alpha, beta) among the
+    lines whose objective ties with it within 1e-12 relative.
+    """
+    active = w > 0
+    xa, ya, wa = x[active], y[active], w[active]
+    alphas, betas = _pair_candidates(xa, ya)
+    obj = np.abs(ya[None, :] - alphas[:, None] * xa[None, :] - betas[:, None]) @ wa
+    best = float(np.min(obj))
+    tied = np.flatnonzero(obj <= best + 1e-12 * (1.0 + best))
+    pick = tied[np.lexsort((betas[tied], alphas[tied]))[0]]
+    return best, float(alphas[pick]), float(betas[pick])
+
+
+def _assert_matches_oracle(x, y, w):
+    active = w > 0
+    assume(np.count_nonzero(active) >= 2 and np.ptp(x[active]) > 0)
+    alpha, beta = l1_fit(x, y, w)
+    best, a_or, b_or = _enumeration_oracle(x, y, w)
+    obj = float(np.sum(w * np.abs(y - alpha * x - beta)))
+    assert abs(obj - best) <= 1e-12 * (1.0 + best)
+    assert alpha == pytest.approx(a_or, rel=1e-9, abs=1e-9)
+    assert beta == pytest.approx(b_or, rel=1e-9, abs=1e-9)
+
+
 class TestL1Fit:
     def test_exact_collinear(self):
         alpha, beta = l1_fit([0, 1, 2], [1, 3, 5])
@@ -135,6 +175,57 @@ class TestL1Fit:
         x = rng.uniform(-5, 5, 300)
         y = 0.7 * x - 2.0 + sample_laplace(rng, 2.0, 300)
         assert l1_fit(x, y) == l1_fit(x, y)
+
+    def test_square_tie_goes_to_smallest_alpha_beta(self):
+        # every line with beta and alpha + beta in [0, 1] is optimal
+        assert l1_fit([0, 0, 1, 1], [0, 1, 0, 1]) == (-1.0, 1.0)
+
+    def test_many_collinear_points(self):
+        rng = np.random.default_rng(9)
+        x = rng.permutation(np.arange(-200.0, 200.0))
+        alpha, beta = l1_fit(x, 0.5 * x - 3.0, rng.uniform(0.0, 2.0, 400))
+        assert alpha == pytest.approx(0.5, abs=1e-12)
+        assert beta == pytest.approx(-3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("where", ["xs", "ys", "weights"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_rejected(self, where, bad):
+        args = {"xs": [0.0, 1.0, 2.0, 3.0], "ys": [1.0, 0.0, 2.0, 5.0],
+                "weights": [1.0, 1.0, 1.0, 1.0]}
+        args[where][2] = bad
+        with pytest.raises(ValueError, match=where) as err:
+            l1_fit(args["xs"], args["ys"], args["weights"])
+        assert not isinstance(err.value, DegenerateFitError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        zero_share=st.sampled_from([0.0, 0.2, 0.5]),
+    )
+    def test_matches_oracle_on_continuous_problems(self, n, seed, zero_share):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-5, 5, n)
+        y = rng.uniform(-3, 3) * x + rng.uniform(-2, 2) + sample_laplace(
+            rng, rng.uniform(0.1, 2.0), n
+        )
+        w = rng.uniform(0.0, 1.0, n)
+        w[rng.uniform(size=n) < zero_share] = 0.0
+        _assert_matches_oracle(x, y, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+            min_size=2,
+            max_size=30,
+        ),
+        unit_weights=st.booleans(),
+    )
+    def test_matches_oracle_on_integer_grids(self, points, unit_weights):
+        # many points per line and exact ties: the degenerate vertices
+        x, y, w = np.array(points, dtype=float).T
+        _assert_matches_oracle(x, y, np.ones_like(w) if unit_weights else w)
 
 
 class TestEstimateScale:

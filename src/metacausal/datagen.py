@@ -84,7 +84,8 @@ class Dataset:
     generator: GeneratorInfo | None = None
 
     def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
+        # Column-major, so that x and y are contiguous views.
+        self.points = np.asfortranarray(np.asarray(self.points, dtype=float).reshape(-1, 2))
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
             if len(self.labels) != len(self.points):
@@ -166,7 +167,7 @@ def generate_dataset(
     for j, mech in enumerate(mechs):
         sel = labels == j
         noise[sel] = sample_laplace(rng, mech.b, size=int(sel.sum()))
-    points = np.empty((m, 2))
+    points = np.empty((m, 2), order="F")
     for j, mech in enumerate(mechs):
         sel = labels == j
         effect = mech.alpha * cause[sel] + mech.beta + noise[sel]

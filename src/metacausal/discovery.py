@@ -20,7 +20,7 @@ import numpy as np
 from . import reference_values
 from .bounds import empirical_resamples, lower_bound_success_prob, required_resamples
 from .datagen import Dataset
-from .em import DegeneratePairError, EMConfig, MixtureState, init_from_pairs, run_em
+from .em import EMConfig, MixtureState, draw_seed_state, init_from_pairs, run_em
 from .stats import ADTestResult, anderson_darling_laplace
 
 __all__ = [
@@ -33,9 +33,6 @@ __all__ = [
     "validate_k",
     "recover_mechanism_count",
 ]
-
-_SEED_PAIR_RETRIES = 100
-
 
 @dataclass(frozen=True)
 class DiscoveryConfig:
@@ -134,14 +131,7 @@ def lo_ransac_best(
     config = EMConfig.for_components(k)
     best: MixtureState | None = None
     for child in rng.spawn(n_resamples):
-        state = None
-        for _ in range(_SEED_PAIR_RETRIES):
-            idx = child.choice(data.m, size=2 * k, replace=False)
-            try:
-                state = init_from_pairs(data.points[idx])
-                break
-            except DegeneratePairError:
-                continue
+        state = draw_seed_state(data, k, child, init_from_pairs)
         if state is None:
             continue
         candidate = run_em(data, state, config)

@@ -27,9 +27,9 @@ from .bounds import empirical_resamples, table2_theoretical
 from .datagen import random_dataset
 from .discovery import DiscoveryConfig, recover_mechanism_count
 from .em import (
-    DegeneratePairError,
     EMConfig,
     check_convergence,
+    draw_seed_state,
     init_from_pairs,
     params_in_frame,
     run_em,
@@ -66,19 +66,20 @@ class ConvergenceCell:
         return self.converged / self.runs if self.runs else 0.0
 
 
+def _task_seeds(master_seed: int, k: int, d: float, n: int) -> list[int]:
+    """Seeds of the first ``n`` tasks of the (k, d) cell, one per task index."""
+    return [
+        int(np.random.SeedSequence(entropy=master_seed, spawn_key=(k, round(d * 10), i)).generate_state(1)[0])
+        for i in range(n)
+    ]
+
+
 def _single_restart(args) -> tuple[bool, float, float]:
     """One dataset + one random 2k-point restart; returns (converged, errors)."""
     k, d, seed = args
     dataset = random_dataset(k, d, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
-    state = None
-    for _ in range(100):
-        idx = rng.choice(dataset.m, size=2 * k, replace=False)
-        try:
-            state = init_from_pairs(dataset.points[idx])
-            break
-        except DegeneratePairError:
-            continue
+    state = draw_seed_state(dataset, k, rng, init_from_pairs)
     if state is None:
         return False, 0.0, 0.0
     fitted = run_em(dataset, state, EMConfig.for_components(k))
@@ -116,10 +117,7 @@ def measure_convergence_cell(
     fresh dataset here; each run carries its own derived seed).
     """
     runs = max(1, round(_SETUPS_FULL_SCALE * _RESTARTS_PER_SETUP * scale))
-    seeds = [
-        int(np.random.SeedSequence(entropy=master_seed, spawn_key=(k, round(d * 10), i)).generate_state(1)[0])
-        for i in range(runs)
-    ]
+    seeds = _task_seeds(master_seed, k, d, runs)
     tasks = [(k, d, s) for s in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -156,10 +154,7 @@ def confusion_row(
 ) -> Counter:
     """Recovered-count tally over ``round(100 * scale)`` datasets."""
     n_datasets = max(1, round(_DATASETS_FULL_SCALE * scale))
-    seeds = [
-        int(np.random.SeedSequence(entropy=master_seed, spawn_key=(k, round(d * 10), i)).generate_state(1)[0])
-        for i in range(n_datasets)
-    ]
+    seeds = _task_seeds(master_seed, k, d, n_datasets)
     tasks = [(k, d, s, config_kwargs) for s in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

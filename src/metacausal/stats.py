@@ -176,13 +176,15 @@ def l1_fit(xs, ys, weights=None) -> tuple[float, float]:
     """
     x, y, w = _check_xyw(xs, ys, weights)
     active = w > 0
-    if int(np.count_nonzero(active)) < 2:
+    n_active = int(np.count_nonzero(active))
+    if n_active < 2:
         raise DegenerateFitError("need at least two points with positive weight")
-    xa, ya, wa = x[active], y[active], w[active]
-    if np.all(xa == xa[0]):
+    if n_active < len(w):
+        x, y, w = x[active], y[active], w[active]
+    if np.all(x == x[0]):
         raise DegenerateFitError("x values carry no spread under the given weights")
-    alpha, beta = _weighted_lsq(xa, ya, wa)
-    return _vertex_descent(xa, ya, wa, int(np.argmin(np.abs(ya - alpha * xa - beta))))
+    alpha, beta = _weighted_lsq(x, y, w)
+    return _vertex_descent(x, y, w, int(np.argmin(np.abs(y - alpha * x - beta))))
 
 
 def _anchored_line(x, y, w, anchor: int) -> tuple[float, float, int]:
@@ -390,10 +392,13 @@ def weighted_ad_statistic_laplace(residuals, weights) -> float:
     r = np.asarray(residuals, dtype=float)
     w = np.asarray(weights, dtype=float)
     keep = w > 0
-    r, w = r[keep], w[keep]
+    if not keep.all():
+        r, w = r[keep], w[keep]
     if r.size < 2:
         return math.inf
-    order = np.argsort(r, kind="stable")
+    # Tied residuals bound zero-width intervals, whose log differences are
+    # exactly 0, so an unstable sort changes only the order tied weights sum.
+    order = np.argsort(r)
     r, w = r[order], w[order]
     total = float(np.sum(w))
     cum = np.cumsum(w)
@@ -411,10 +416,10 @@ def weighted_ad_statistic_laplace(residuals, weights) -> float:
     # int (c-u)^2/(u(1-u)) du = c^2 ln u + (1-c)^2 ln(1/(1-u)) - u.
     uu = np.concatenate(([0.0], u, [1.0]))
     c = np.concatenate(([0.0], cum / total))
-    du_log = np.log(uu[1:]) - np.log(np.clip(uu[:-1], 1e-300, None))
-    dm_log = np.log1p(-np.clip(uu[:-1], None, 1.0 - 1e-16)) - np.log1p(
-        -np.clip(uu[1:], None, 1.0 - 1e-16)
-    )
+    log_u = np.log(np.clip(uu, 1e-300, None))
+    log_1mu = np.log1p(-np.clip(uu, None, 1.0 - 1e-16))
+    du_log = log_u[1:] - log_u[:-1]
+    dm_log = log_1mu[:-1] - log_1mu[1:]
     term1 = np.where(c > 0, c**2 * du_log, 0.0)
     term2 = np.where(c < 1, (1.0 - c) ** 2 * dm_log, 0.0)
     return float(total * (np.sum(term1 + term2) - 1.0))

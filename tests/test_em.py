@@ -12,6 +12,7 @@ from metacausal.em import (
     DegeneratePairError,
     EMConfig,
     check_convergence,
+    draw_seed_state,
     em_step,
     init_from_pairs,
     mixture_log_likelihood,
@@ -19,7 +20,7 @@ from metacausal.em import (
     responsibilities,
     run_em,
 )
-from metacausal.stats import B_FLOOR, l1_fit, sample_laplace
+from metacausal.stats import B_FLOOR, l1_fit, laplace_logpdf, sample_laplace
 
 
 def _seeded_init(dataset, k, seed):
@@ -61,6 +62,75 @@ class TestInitFromPairs:
         assert state.k == 2
         assert state.mechanisms[0].alpha == pytest.approx(1.0)
         assert state.mechanisms[1].alpha == pytest.approx(-1.0)
+
+
+class TestDrawSeedState:
+    def test_same_draws_as_a_retry_loop(self):
+        ds = random_dataset(3, 0.0, seed=21)
+        state = draw_seed_state(ds, 3, np.random.default_rng(4))
+        expected = _seeded_init(ds, 3, 4)
+        assert state.mechanisms == expected.mechanisms
+
+    def test_redraws_degenerate_pairs(self):
+        # half the points share x = 0, so some draws pair two of them
+        ds = Dataset([[0.0, float(i)] for i in range(6)] + [[float(i), 0.0] for i in range(1, 7)])
+        seeded = []
+
+        def counting_init(points):
+            seeded.append(points)
+            return init_from_pairs(points)
+
+        rng = np.random.default_rng(0)
+        states = [draw_seed_state(ds, 2, rng, counting_init) for _ in range(20)]
+        assert all(s is not None for s in states)
+        assert len(seeded) > 20
+
+    def test_gives_up_when_every_pair_is_vertical(self):
+        ds = Dataset(np.array([[1.0, float(i)] for i in range(8)]))
+        assert draw_seed_state(ds, 2, np.random.default_rng(0)) is None
+
+
+def _column_stacked_reference(ds, mechs):
+    """Responsibilities and log-likelihood from (m, k) column-stacked log-densities."""
+
+    def logpdf(common_axis):
+        cols = []
+        for mech in mechs:
+            col = laplace_logpdf(mech.residuals(ds.x, ds.y), (0.0, mech.b))
+            if common_axis and mech.direction is Direction.YX:
+                col = col + np.log(max(abs(mech.alpha), 1e-300))
+            cols.append(col)
+        return np.column_stack(cols)
+
+    logp = logpdf(False)
+    logp -= logp.max(axis=1, keepdims=True)
+    dens = np.exp(logp)
+    resp = dens / dens.sum(axis=1, keepdims=True)
+    logp = logpdf(True)
+    mx = logp.max(axis=1)
+    loglik = float(np.sum(mx + np.log(np.mean(np.exp(logp - mx[:, None]), axis=1))))
+    return resp, loglik
+
+
+class TestLayout:
+    MECHS = (
+        MechanismParams(1.5, -0.5, 0.8, Direction.XY),
+        MechanismParams(-0.4, 2.0, 1.3, Direction.YX),
+        MechanismParams(3.0, 1.0, 0.2, Direction.XY),
+    )
+
+    def test_matches_column_stacked_reference_bit_for_bit(self):
+        ds = random_dataset(3, 0.1, seed=19)
+        resp, loglik = _column_stacked_reference(ds, self.MECHS)
+        assert np.array_equal(responsibilities(ds, self.MECHS), resp)
+        assert mixture_log_likelihood(ds, self.MECHS) == loglik
+
+    def test_columns_are_contiguous(self):
+        ds = random_dataset(3, 0.1, seed=19)
+        assert ds.x.flags.c_contiguous and ds.y.flags.c_contiguous
+        resp = responsibilities(ds, self.MECHS)
+        assert resp.shape == (ds.m, 3)
+        assert all(resp[:, j].flags.c_contiguous for j in range(3))
 
 
 class TestResponsibilities:

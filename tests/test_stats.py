@@ -151,9 +151,9 @@ class TestL1Fit:
             perturbed = np.sum(w * np.abs(y - (alpha + da) * x - (beta + db)))
             assert base <= perturbed + 1e-12
 
-    def test_irls_path_matches_enumeration(self):
-        # duplicate a small problem so it crosses the enumeration threshold;
-        # the optimum is unchanged and the exact path certifies it
+    def test_duplicated_points_with_halved_weights_match(self):
+        # every point twice at half weight: the same objective function, so
+        # the optimum found must reach the same objective value
         rng = np.random.default_rng(6)
         worst = 0.0
         for _ in range(25):
@@ -334,3 +334,58 @@ class TestWeightedADStatistic:
         assert weighted_ad_statistic_laplace(r_noise, w) == pytest.approx(
             ad_statistic_laplace(r), abs=1e-10
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.booleans(),
+    )
+    def test_matches_stable_sort_reference(self, n, seed, grid):
+        rng = np.random.default_rng(seed)
+        if grid:  # a small integer grid, so residuals tie
+            r = rng.integers(-4, 5, n).astype(float)
+        else:
+            r = sample_laplace(rng, rng.uniform(0.1, 3.0), n)
+        w = rng.uniform(0.0, 1.0, n)
+        w[rng.uniform(size=n) < 0.2] = 0.0
+        got = weighted_ad_statistic_laplace(r, w)
+        want = _weighted_ad_reference(r, w)
+        if math.isinf(want):
+            assert got == want
+        elif len(np.unique(r[w > 0])) == np.count_nonzero(w > 0):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+def _weighted_ad_reference(residuals, weights):
+    """The weighted A^2 computed with a stable sort and a log pass per bound."""
+    r = np.asarray(residuals, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    keep = w > 0
+    r, w = r[keep], w[keep]
+    if r.size < 2:
+        return math.inf
+    order = np.argsort(r, kind="stable")
+    r, w = r[order], w[order]
+    total = float(np.sum(w))
+    cum = np.cumsum(w)
+    half = 0.5 * total
+    idx = int(np.searchsorted(cum, half))
+    if cum[idx] == half and idx + 1 < len(r):
+        med = 0.5 * (r[idx] + r[idx + 1])
+    else:
+        med = float(r[idx])
+    z = r - med
+    b = max(B_FLOOR, float(np.dot(w, np.abs(z)) / total))
+    u = np.clip(laplace_cdf(z, 0.0, b), 1e-300, 1.0 - 1e-16)
+    uu = np.concatenate(([0.0], u, [1.0]))
+    c = np.concatenate(([0.0], cum / total))
+    du_log = np.log(uu[1:]) - np.log(np.clip(uu[:-1], 1e-300, None))
+    dm_log = np.log1p(-np.clip(uu[:-1], None, 1.0 - 1e-16)) - np.log1p(
+        -np.clip(uu[1:], None, 1.0 - 1e-16)
+    )
+    term1 = np.where(c > 0, c**2 * du_log, 0.0)
+    term2 = np.where(c < 1, (1.0 - c) ** 2 * dm_log, 0.0)
+    return float(total * (np.sum(term1 + term2) - 1.0))

@@ -17,36 +17,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "BoundInput",
     "expected_success_prob",
     "lower_bound_success_prob",
     "required_resamples",
     "empirical_resamples",
     "table2_theoretical",
 ]
-
-
-@dataclass(frozen=True)
-class BoundInput:
-    """One cell of a bound table: mechanism count, class deviation, confidence."""
-
-    n: int
-    d: float
-    confidence: float = 0.95
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"mechanism count must be >= 1, got {self.n}")
-        if not 0.0 <= self.d < 1.0:
-            raise ValueError(f"class deviation must lie in [0, 1), got {self.d}")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
 
 
 def expected_success_prob(n: int) -> float:

@@ -33,6 +33,7 @@ from .bounds import (
 )
 from .datagen import (
     CsvFormatError,
+    SidecarFormatError,
     class_probabilities,
     generate_dataset,
     read_dataset_csv,
@@ -59,23 +60,15 @@ def _manifest_path(out: Path) -> Path:
     return out.with_suffix(out.suffix + ".manifest.json")
 
 
-def _write_manifest(
-    out: Path,
-    command: str,
-    config: dict,
-    master_seed: int,
-    task_seeds: list[int],
-    artifacts: list[str],
-    budget_seconds: float | None,
-) -> Path:
+def _write_manifest(out: Path, command: str, config: dict, artifacts: list[str], args) -> Path:
     path = _manifest_path(out)
     payload = {
         "command": command,
         "config": config,
-        "master_seed": master_seed,
-        "task_seeds": task_seeds,
+        "master_seed": args.seed,
+        "task_seeds": [args.seed],
         "artifacts": artifacts,
-        "wall_clock_budget_seconds": budget_seconds,
+        "wall_clock_budget_seconds": args.budget,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
@@ -110,10 +103,8 @@ def cmd_gen(args) -> int:
         out,
         "gen",
         {"k": args.k, "dev": args.dev, "n_per_class": args.n},
-        args.seed,
-        [args.seed],
         [out.name, out.name + ".meta.json"],
-        args.budget,
+        args,
     )
     print(f"wrote {out} ({dataset.m} points), manifest {manifest.name}")
     return EXIT_OK
@@ -143,15 +134,7 @@ def cmd_discover(args) -> int:
                 "resamples": diag.resamples,
                 "passed": diag.passed,
                 "log_likelihood": diag.state.log_likelihood,
-                "mechanisms": [
-                    {
-                        "alpha": m.alpha,
-                        "beta": m.beta,
-                        "b": m.b,
-                        "direction": m.direction.value,
-                    }
-                    for m in diag.state.mechanisms
-                ],
+                "mechanisms": [m.to_json_dict() for m in diag.state.mechanisms],
                 "ad_tests": [
                     None
                     if r is None
@@ -178,22 +161,16 @@ def cmd_discover(args) -> int:
             "mode": args.mode,
             "dominance_rule": args.dominance_rule,
         },
-        args.seed,
-        [args.seed],
         [out.name],
-        args.budget,
+        args,
     )
     print(f"k_hat = {result.k_hat} ({'decided' if result.decided else 'no decision'}), wrote {out}")
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    devs = [float(d) for d in args.devs.split(",")]
-    for d in devs:
-        if not 0.0 <= d < 1.0:
-            raise SystemExit(_usage(f"class deviation must lie in [0, 1), got {d}"))
     rows = []
-    for d in devs:
+    for d in args.devs:
         for n in range(1, args.n_max + 1):
             p_exp = expected_success_prob(n)
             p_low = lower_bound_success_prob(n, d)
@@ -212,23 +189,15 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    common = dict(master_seed=args.seed, workers=args.workers)
-    if args.table == 2:
-        rows = reproduce.table2_rows()
-    elif args.table == 1:
-        rows = reproduce.table1_rows(
-            scale=args.scale, only_k=args.k, only_d=args.dev, **common
-        )
-    elif args.table == 3:
-        rows = reproduce.table3_rows(
-            scale=args.scale, only_k=args.k, only_d=args.dev, **common
-        )
-    elif args.table == 4:
-        rows = reproduce.table4_rows(
-            scale=args.scale, only_k=args.k, only_d=args.dev, **common
-        )
-    else:
-        raise SystemExit(_usage(f"unknown table {args.table}"))
+    measured = dict(
+        scale=args.scale, only_k=args.k, only_d=args.dev, master_seed=args.seed, workers=args.workers
+    )
+    rows = {
+        1: lambda: reproduce.table1_rows(**measured),
+        2: reproduce.table2_rows,
+        3: lambda: reproduce.table3_rows(**measured),
+        4: lambda: reproduce.table4_rows(**measured),
+    }[args.table]()
     if args.out:
         out = Path(args.out)
         _write_csv(out, rows)
@@ -236,10 +205,8 @@ def cmd_reproduce(args) -> int:
             out,
             f"reproduce {args.table}",
             {"scale": args.scale, "k": args.k, "dev": args.dev, "workers": args.workers},
-            args.seed,
-            [args.seed],
             [out.name],
-            args.budget,
+            args,
         )
         print(f"wrote {out}")
     else:
@@ -247,7 +214,7 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-def _simulate_stress(args) -> list[dict]:
+def _simulate_stress(args, rng) -> list[dict]:
     schedule: list[float] = []
     if args.ext_schedule:
         with open(args.ext_schedule, newline="", encoding="utf-8") as f:
@@ -321,7 +288,7 @@ def _simulate_follower(args, rng) -> list[dict]:
     return rows
 
 
-def _simulate_locks(args) -> list[dict]:
+def _simulate_locks(args, rng) -> list[dict]:
     state = locks.LocksState()
     rows = []
     for t, lock_index in enumerate((1, 2)):
@@ -343,18 +310,17 @@ def _simulate_locks(args) -> list[dict]:
     return rows
 
 
+# Trace builders by system name, each called as ``fn(args, rng)``.
+_SIMULATORS = {
+    "tag": _simulate_tag,
+    "stress": _simulate_stress,
+    "follower": _simulate_follower,
+    "locks": _simulate_locks,
+}
+
+
 def cmd_simulate(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.system == "stress":
-        rows = _simulate_stress(args)
-    elif args.system == "tag":
-        rows = _simulate_tag(args, rng)
-    elif args.system == "follower":
-        rows = _simulate_follower(args, rng)
-    elif args.system == "locks":
-        rows = _simulate_locks(args)
-    else:
-        raise SystemExit(_usage(f"unknown system {args.system!r}"))
+    rows = _SIMULATORS[args.system](args, np.random.default_rng(args.seed))
     if args.out:
         out = Path(args.out)
         _write_csv(out, rows)
@@ -362,10 +328,8 @@ def cmd_simulate(args) -> int:
             out,
             f"simulate {args.system}",
             {"steps": args.steps, "s0": getattr(args, "s0", None)},
-            args.seed,
-            [args.seed],
             [out.name],
-            args.budget,
+            args,
         )
         print(f"wrote {out} ({len(rows)} rows)")
     else:
@@ -376,6 +340,33 @@ def cmd_simulate(args) -> int:
 def _usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _checked(convert, ok, requirement: str):
+    """argparse ``type``: ``convert(text)``, a usage error unless ``ok`` holds."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+_deviation = _checked(float, lambda d: 0.0 <= d < 1.0, "class deviation must lie in [0, 1)")
+_confidence = _checked(float, lambda c: 0.0 < c < 1.0, "confidence must lie in (0, 1)")
+_positive_int = _checked(int, lambda n: n >= 1, "expected an integer >= 1")
+_unit_level = _checked(float, lambda s: 0.0 <= s <= 1.0, "level must lie in [0, 1]")
+_CPUS = os.cpu_count() or 1
+_workers = _checked(int, lambda n: 1 <= n <= _CPUS, f"workers must lie in [1, {_CPUS}]")
+
+
+def _deviations(text: str) -> list[float]:
+    return [_deviation(d) for d in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
         "gen", parents=[common], help="generate a synthetic switching-mechanism dataset"
     )
     p.add_argument("--k", type=int, required=True, choices=range(1, 5), metavar="K")
-    p.add_argument("--dev", type=float, default=0.0, help="max class deviation in [0,1)")
-    p.add_argument("--n", type=int, default=500, help="average points per class")
+    p.add_argument("--dev", type=_deviation, default=0.0, help="max class deviation in [0,1)")
+    p.add_argument("--n", type=_positive_int, default=500, help="average points per class")
     p.add_argument("--out", default="dataset.csv")
     p.set_defaults(fn=cmd_gen)
 
@@ -412,30 +403,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="discovery.json")
     p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--dev", type=float, default=0.0)
+    p.add_argument("--dev", type=_deviation, default=0.0)
     p.add_argument("--mode", choices=("empirical", "theoretical"), default="empirical")
     p.add_argument("--dominance-rule", choices=("relative", "remainder"), default="relative")
     p.set_defaults(fn=cmd_discover)
 
     p = sub.add_parser("bounds", parents=[common], help="print restart-probability and resample tables")
-    p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--devs", default="0.0,0.1,0.2", help="comma-separated deviations")
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--n-max", type=_positive_int, default=4)
+    p.add_argument("--devs", type=_deviations, default="0.0,0.1,0.2", help="comma-separated deviations")
+    p.add_argument("--confidence", type=_confidence, default=0.95)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("reproduce", parents=[common], help="re-measure a reference table at a given scale")
     p.add_argument("table", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--scale", type=float, default=0.3)
-    p.add_argument("--k", type=int, default=None, help="restrict to one mechanism count")
-    p.add_argument("--dev", type=float, default=None, help="restrict to one deviation")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--k", type=int, default=None, choices=ref.MECHANISM_COUNTS, help="restrict to one mechanism count"
+    )
+    p.add_argument(
+        "--dev", type=float, default=None, choices=ref.DEVIATIONS, help="restrict to one deviation"
+    )
+    p.add_argument("--workers", type=_workers, default=1, help=f"worker processes, 1 to {_CPUS}")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(fn=cmd_reproduce)
 
     p = sub.add_parser("simulate", parents=[common], help="run a system and emit its labeled trace")
-    p.add_argument("--system", required=True, choices=("tag", "stress", "follower", "locks"))
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--s0", type=float, default=0.8, help="stress: initial level")
+    p.add_argument("--system", required=True, choices=tuple(_SIMULATORS))
+    p.add_argument("--steps", type=_positive_int, default=500)
+    p.add_argument("--s0", type=_unit_level, default=0.8, help="stress: initial level in [0,1]")
     p.add_argument(
         "--ext-schedule",
         default=None,
@@ -456,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except CsvFormatError as exc:
         print(f"error: malformed CSV: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
+    except (OSError, SidecarFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # pragma: no cover - defensive

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -64,6 +64,19 @@ class MechanismParams:
         if self.direction is Direction.XY:
             return y - self.predict(x)
         return x - self.predict(y)
+
+    def to_json_dict(self) -> dict:
+        return {"alpha": self.alpha, "beta": self.beta, "b": self.b, "direction": self.direction.value}
+
+    @classmethod
+    def from_json_dict(cls, payload: dict) -> "MechanismParams":
+        """Inverse of :meth:`to_json_dict`, whose keys are the field names; a
+        missing key or an unknown direction raises ValueError."""
+        try:
+            alpha, beta, b, direction = (payload[f.name] for f in fields(cls))
+        except KeyError as exc:
+            raise ValueError(f"mechanism lacks key {exc}") from exc
+        return cls(float(alpha), float(beta), float(b), Direction(direction))
 
 
 @dataclass(frozen=True)
@@ -208,15 +221,7 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
         sidecar = path.with_suffix(path.suffix + ".meta.json")
         gen = dataset.generator
         payload = {
-            "mechanisms": [
-                {
-                    "alpha": mech.alpha,
-                    "beta": mech.beta,
-                    "b": mech.b,
-                    "direction": mech.direction.value,
-                }
-                for mech in gen.mechanisms
-            ],
+            "mechanisms": [mech.to_json_dict() for mech in gen.mechanisms],
             "class_probs": list(gen.class_probs),
             "seed": gen.seed,
         }
@@ -231,8 +236,16 @@ class CsvFormatError(ValueError):
         self.row = row
 
 
+class SidecarFormatError(ValueError):
+    """Malformed generator-metadata sidecar; the message names its path."""
+
+
 def read_dataset_csv(path: str | Path) -> Dataset:
-    """Read a dataset CSV and its sidecar; bad or empty data raise CsvFormatError."""
+    """Read a dataset CSV and its sidecar.
+
+    Bad or empty CSV data raise CsvFormatError; a sidecar with bad JSON, a
+    missing key or an unknown direction raises SidecarFormatError.
+    """
     path = Path(path)
     points: list[tuple[float, float]] = []
     labels: list[int] = []
@@ -259,14 +272,13 @@ def read_dataset_csv(path: str | Path) -> Dataset:
     generator = None
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():
-        payload = json.loads(sidecar.read_text(encoding="utf-8"))
-        mechs = tuple(
-            MechanismParams(
-                m["alpha"], m["beta"], m["b"], Direction(m["direction"])
-            )
-            for m in payload["mechanisms"]
-        )
-        generator = GeneratorInfo(mechs, tuple(payload["class_probs"]), payload.get("seed"))
+        try:
+            payload = json.loads(sidecar.read_text(encoding="utf-8"))
+            mechs = tuple(MechanismParams.from_json_dict(m) for m in payload["mechanisms"])
+            generator = GeneratorInfo(mechs, tuple(payload["class_probs"]), payload.get("seed"))
+        except (KeyError, TypeError, ValueError) as exc:
+            problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise SidecarFormatError(f"malformed sidecar {sidecar}: {problem}") from exc
     return Dataset(
         np.array(points, dtype=float).reshape(-1, 2),
         np.array(labels, dtype=int) if labels else None,

@@ -38,6 +38,7 @@ __all__ = [
     "run_em",
     "params_in_frame",
     "check_convergence",
+    "matched_errors",
 ]
 
 # A mechanism whose total responsibility falls below this many effective
@@ -47,6 +48,10 @@ _MIN_EFFECTIVE_POINTS = 2.0
 # Draws of 2k seed points one restart may make before it is given up.
 _SEED_PAIR_RETRIES = 100
 
+# Largest slope and intercept error at which a fitted mechanism still
+# recovers a true one.
+CONVERGENCE_TOL = 0.2
+
 
 class DegeneratePairError(ValueError):
     """A seed pair shares its x value; the caller should draw a fresh pair."""
@@ -54,10 +59,9 @@ class DegeneratePairError(ValueError):
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Step budget and convergence tolerance for one EM run."""
+    """Step budget for one EM run."""
 
     steps: int
-    convergence_tol: float = 0.2
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -260,16 +264,29 @@ def params_in_frame(mech: MechanismParams, direction: Direction) -> tuple[float,
     return 1.0 / mech.alpha, -mech.beta / mech.alpha
 
 
-def _params_match(
-    est: MechanismParams, truth: MechanismParams, tol: float, require_direction: bool
+def _feasible_assignments(est, truth, tol: float, require_direction: bool):
+    """Yield the per-estimate slope and intercept errors of every one-to-one
+    assignment within ``tol``, in permutation order; none on a length mismatch."""
+    est, truth = tuple(est), tuple(truth)
+    if len(est) != len(truth):
+        return
+    k = len(truth)
+    slope, intercept = np.full((k, k), math.inf), np.full((k, k), math.inf)
+    for i, e in enumerate(est):
+        for j, t in enumerate(truth):
+            if not require_direction or e.direction is t.direction:
+                alpha, beta = params_in_frame(e, t.direction)
+                slope[i, j], intercept[i, j] = abs(alpha - t.alpha), abs(beta - t.beta)
+    ok = (slope <= tol) & (intercept <= tol)
+    rows = np.arange(k)
+    for perm in itertools.permutations(range(k)):
+        if ok[rows, perm].all():
+            yield slope[rows, perm], intercept[rows, perm]
+
+
+def check_convergence(
+    est, truth, tol: float = CONVERGENCE_TOL, require_direction: bool = False
 ) -> bool:
-    if require_direction and est.direction is not truth.direction:
-        return False
-    alpha, beta = params_in_frame(est, truth.direction)
-    return abs(alpha - truth.alpha) <= tol and abs(beta - truth.beta) <= tol
-
-
-def check_convergence(est, truth, tol: float = 0.2, require_direction: bool = False) -> bool:
     """True when some one-to-one matching aligns every estimated mechanism
     with a distinct true one within ``tol`` on slope and intercept.
 
@@ -279,12 +296,16 @@ def check_convergence(est, truth, tol: float = 0.2, require_direction: bool = Fa
     so it does not count against convergence unless ``require_direction``
     is set.  A length mismatch returns False.
     """
-    est = tuple(est)
-    truth = tuple(truth)
-    if len(est) != len(truth):
-        return False
-    ok = [[_params_match(e, t, tol, require_direction) for t in truth] for e in est]
-    return any(
-        all(ok[i][perm[i]] for i in range(len(est)))
-        for perm in itertools.permutations(range(len(truth)))
-    )
+    return next(_feasible_assignments(est, truth, tol, require_direction), None) is not None
+
+
+def matched_errors(est, truth) -> tuple[float, float] | None:
+    """Mean absolute slope and intercept errors of the matching with the lowest
+    total among those :func:`check_convergence` accepts by default (the earliest
+    permutation on a tie), or None if it accepts none."""
+    best: tuple[float, float] | None = None
+    for slope, intercept in _feasible_assignments(est, truth, CONVERGENCE_TOL, False):
+        errors = (float(np.mean(slope)), float(np.mean(intercept)))
+        if best is None or sum(errors) < sum(best):
+            best = errors
+    return best

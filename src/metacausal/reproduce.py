@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .em import (
     check_convergence,
     draw_seed_state,
     init_from_pairs,
-    params_in_frame,
+    matched_errors,
     run_em,
 )
 
@@ -86,21 +85,30 @@ def _single_restart(args) -> tuple[bool, float, float]:
     truth = dataset.generator.mechanisms
     if not check_convergence(fitted.mechanisms, truth):
         return False, 0.0, 0.0
-    # Converged: accumulate errors under the best feasible assignment.
-    tol = EMConfig.for_components(k).convergence_tol
-    best: tuple[float, float] | None = None
-    for perm in permutations(range(k)):
-        errs = []
-        for i, j in enumerate(perm):
-            alpha, beta = params_in_frame(fitted.mechanisms[i], truth[j].direction)
-            errs.append((abs(alpha - truth[j].alpha), abs(beta - truth[j].beta)))
-        if all(ea <= tol and eb <= tol for ea, eb in errs):
-            slope = float(np.mean([ea for ea, _ in errs]))
-            intercept = float(np.mean([eb for _, eb in errs]))
-            if best is None or slope + intercept < sum(best):
-                best = (slope, intercept)
-    assert best is not None
-    return True, best[0], best[1]
+    slope, intercept = matched_errors(fitted.mechanisms, truth)
+    return True, slope, intercept
+
+
+def _map(fn, tasks: list, workers: int, chunksize: int) -> list:
+    """``[fn(t) for t in tasks]``, over a pool of at most ``workers`` processes.
+
+    The pool never outnumbers the tasks: with the fork start method every
+    worker is started at the first submit, whatever the task count.
+    """
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunksize))
+
+
+def _cells(only_k: int | None, only_d: float | None):
+    """The (d, k) reference-table cells in table order, restricted to
+    ``only_k`` and ``only_d`` when they are set."""
+    for d in ref.DEVIATIONS:
+        for k in ref.MECHANISM_COUNTS:
+            if only_d in (None, d) and only_k in (None, k):
+                yield d, k
 
 
 def measure_convergence_cell(
@@ -118,12 +126,7 @@ def measure_convergence_cell(
     """
     runs = max(1, round(_SETUPS_FULL_SCALE * _RESTARTS_PER_SETUP * scale))
     seeds = _task_seeds(master_seed, k, d, runs)
-    tasks = [(k, d, s) for s in seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_single_restart, tasks, chunksize=8))
-    else:
-        outcomes = [_single_restart(t) for t in tasks]
+    outcomes = _map(_single_restart, [(k, d, s) for s in seeds], workers, chunksize=8)
     converged = sum(ok for ok, _, _ in outcomes)
     slopes = [s for ok, s, _ in outcomes if ok]
     intercepts = [b for ok, _, b in outcomes if ok]
@@ -156,12 +159,7 @@ def confusion_row(
     n_datasets = max(1, round(_DATASETS_FULL_SCALE * scale))
     seeds = _task_seeds(master_seed, k, d, n_datasets)
     tasks = [(k, d, s, config_kwargs) for s in seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hats = list(pool.map(_discover_dataset, tasks, chunksize=1))
-    else:
-        hats = [_discover_dataset(t) for t in tasks]
-    return Counter(hats)
+    return Counter(_map(_discover_dataset, tasks, workers, chunksize=1))
 
 
 def table1_rows(
@@ -174,21 +172,16 @@ def table1_rows(
 ) -> list[dict]:
     """Confusion-matrix rows with the published reference counts alongside."""
     rows = []
-    for d in ref.DEVIATIONS:
-        if only_d is not None and d != only_d:
-            continue
-        for k in ref.MECHANISM_COUNTS:
-            if only_k is not None and k != only_k:
-                continue
-            tally = confusion_row(
-                k, d, master_seed=master_seed, scale=scale, workers=workers, **config_kwargs
-            )
-            total = sum(tally.values())
-            row = {"d": d, "true_k": k, "datasets": total}
-            for col, label in ((0, "none"), (1, "k1"), (2, "k2"), (3, "k3"), (4, "k4")):
-                row[f"predicted_{label}"] = tally.get(col, 0)
-                row[f"reference_{label}"] = ref.CONFUSION[d][k][0 if col == 0 else col]
-            rows.append(row)
+    for d, k in _cells(only_k, only_d):
+        tally = confusion_row(
+            k, d, master_seed=master_seed, scale=scale, workers=workers, **config_kwargs
+        )
+        total = sum(tally.values())
+        row = {"d": d, "true_k": k, "datasets": total}
+        for col, label in ((0, "none"), (1, "k1"), (2, "k2"), (3, "k3"), (4, "k4")):
+            row[f"predicted_{label}"] = tally.get(col, 0)
+            row[f"reference_{label}"] = ref.CONFUSION[d][k][0 if col == 0 else col]
+        rows.append(row)
     return rows
 
 
@@ -217,19 +210,10 @@ def _convergence_cells(
     only_k: int | None,
     only_d: float | None,
 ) -> list[ConvergenceCell]:
-    cells = []
-    for d in ref.DEVIATIONS:
-        if only_d is not None and d != only_d:
-            continue
-        for k in ref.MECHANISM_COUNTS:
-            if only_k is not None and k != only_k:
-                continue
-            cells.append(
-                measure_convergence_cell(
-                    k, d, master_seed=master_seed, scale=scale, workers=workers
-                )
-            )
-    return cells
+    return [
+        measure_convergence_cell(k, d, master_seed=master_seed, scale=scale, workers=workers)
+        for d, k in _cells(only_k, only_d)
+    ]
 
 
 def table3_rows(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from metacausal.bounds import (
-    BoundInput,
     empirical_resamples,
     expected_success_prob,
     lower_bound_success_prob,
@@ -99,16 +98,6 @@ def test_table2_theoretical_matches_reference_within_one():
     )
     got = table2_theoretical()
     assert np.all(np.abs(got - expected) <= 1)
-
-
-def test_bound_input_validation():
-    BoundInput(2, 0.2)
-    with pytest.raises(ValueError):
-        BoundInput(0, 0.2)
-    with pytest.raises(ValueError):
-        BoundInput(2, 1.0)
-    with pytest.raises(ValueError):
-        BoundInput(2, 0.2, confidence=1.0)
 
 
 def test_monte_carlo_bound_soundness():

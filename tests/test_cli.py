@@ -91,6 +91,15 @@ class TestDiscover:
         assert code == 3
         assert f"row {row}" in capsys.readouterr().err
 
+    def test_malformed_sidecar_is_io_error(self, tmp_path, capsys):
+        main(["gen", "--k", "1", "--n", "60", "--seed", "3", "--out", str(tmp_path / "d.csv")])
+        (tmp_path / "d.csv.meta.json").write_text('{"mechanisms": [{"alpha": 1.0}]}')
+        code = main(["discover", "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "d.csv.meta.json" in err and "'beta'" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_empirical_kmax_above_reference_is_usage_error(self, tmp_path):
         main(["gen", "--k", "1", "--n", "100", "--seed", "3", "--out", str(tmp_path / "d.csv")])
         with pytest.raises(SystemExit) as exit_info:
@@ -113,6 +122,30 @@ class TestBounds:
     def test_deviation_one_rejected(self):
         with pytest.raises(SystemExit):
             main(["bounds", "--devs", "0.0,1.0"])
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bounds", "--devs", "abc"], "--devs"),
+            (["bounds", "--confidence", "1.5"], "--confidence"),
+            (["bounds", "--n-max", "0"], "--n-max"),
+            (["discover", "--data", "d.csv", "--mode", "theoretical", "--dev", "1.5"], "--dev"),
+            (["gen", "--k", "1", "--dev", "1.0"], "--dev"),
+            (["gen", "--k", "1", "--n", "-1"], "--n"),
+            (["reproduce", "3", "--dev", "0.15"], "--dev"),
+            (["reproduce", "3", "--k", "7"], "--k"),
+            (["reproduce", "3", "--workers", "0"], "--workers"),
+            # one more than the CPU count: argparse rejects it before any pool starts
+            (["reproduce", "3", "--workers", str((os.cpu_count() or 1) + 1)], "--workers"),
+            (["simulate", "--system", "tag", "--steps", "-1"], "--steps"),
+            (["simulate", "--system", "stress", "--s0", "2"], "--s0"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
 
 class TestReproduce:

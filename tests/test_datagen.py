@@ -4,12 +4,14 @@ import pytest
 from metacausal.datagen import (
     CsvFormatError,
     Dataset,
+    GeneratorInfo,
     Direction,
     MechanismParams,
     class_probabilities,
     generate_dataset,
     random_dataset,
     read_dataset_csv,
+    SidecarFormatError,
     sample_mechanisms,
     write_dataset_csv,
 )
@@ -125,6 +127,41 @@ class TestCsvRoundTrip:
         assert np.allclose(back.points, ds.points)
         assert np.array_equal(back.labels, ds.labels)
         assert back.generator == ds.generator
+
+    def test_yx_mechanism_round_trip_is_bit_exact(self, tmp_path):
+        mechs = (
+            MechanismParams(0.1 + 0.2, -1.0 / 3.0, 5e-324, Direction.YX),
+            MechanismParams(-4.999999999999999, 1e308, 0.1, Direction.XY),
+        )
+        ds = Dataset(np.array([[1.0, 2.0]]), generator=GeneratorInfo(mechs, (0.5, 0.5), 3))
+        path = tmp_path / "yx.csv"
+        write_dataset_csv(ds, path)
+        back = read_dataset_csv(path).generator.mechanisms
+        assert [(m.alpha, m.beta, m.b, m.direction) for m in back] == [
+            (m.alpha, m.beta, m.b, m.direction) for m in mechs
+        ]
+        assert list(mechs[0].to_json_dict()) == ["alpha", "beta", "b", "direction"]
+        assert MechanismParams.from_json_dict(mechs[0].to_json_dict()) == mechs[0]
+
+    @pytest.mark.parametrize(
+        "sidecar, problem",
+        [
+            ("{not json", "Expecting property name"),
+            ('{"mechanisms": [{"alpha": 1.0, "b": 1.0, "direction": "xy"}], "class_probs": [1.0]}',
+             "lacks key 'beta'"),
+            ('{"mechanisms": [{"alpha": 1.0, "beta": 0.0, "b": 1.0, "direction": "zz"}], '
+             '"class_probs": [1.0]}', "'zz' is not a valid Direction"),
+            ('{"mechanisms": []}', "missing key 'class_probs'"),
+        ],
+    )
+    def test_malformed_sidecar_names_its_path(self, tmp_path, sidecar, problem):
+        path = tmp_path / "data.csv"
+        write_dataset_csv(Dataset(np.array([[1.0, 2.0]])), path)
+        (tmp_path / "data.csv.meta.json").write_text(sidecar, encoding="utf-8")
+        with pytest.raises(SidecarFormatError) as err:
+            read_dataset_csv(path)
+        assert "data.csv.meta.json" in str(err.value)
+        assert problem in str(err.value)
 
     def test_unlabeled_round_trip(self, tmp_path):
         ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]))

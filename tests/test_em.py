@@ -15,6 +15,7 @@ from metacausal.em import (
     draw_seed_state,
     em_step,
     init_from_pairs,
+    matched_errors,
     mixture_log_likelihood,
     params_in_frame,
     responsibilities,
@@ -286,3 +287,33 @@ class TestCheckConvergence:
         est = (a, a)
         truth = (a, MechanismParams(3.0, 3.0, 1.0))
         assert not check_convergence(est, truth)
+
+    def test_matched_errors_follow_the_permuted_assignment(self):
+        truth = (MechanismParams(1.0, 0.0, 1.0), MechanismParams(2.0, 1.0, 1.0))
+        est = (MechanismParams(2.0625, 1.125, 1.0), MechanismParams(0.875, 0.03125, 1.0))
+        assert matched_errors(est, truth) == ((0.0625 + 0.125) / 2, (0.125 + 0.03125) / 2)
+
+    def test_matched_errors_smaller_total_wins(self):
+        truth = (MechanismParams(1.0, 0.0, 1.0), MechanismParams(1.125, 0.0, 1.0))
+        est = (MechanismParams(1.125, 0.0, 1.0), MechanismParams(1.0, 0.0, 1.0))
+        # the identity assignment is feasible too, at 0.125 per slope
+        assert matched_errors(est[:1], truth[:1]) == (0.125, 0.0)
+        assert matched_errors(est, truth) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("order, expected", [((0, 1), (0.0, 0.125)), ((1, 0), (0.125, 0.0))])
+    def test_matched_errors_tie_keeps_earliest_permutation(self, order, expected):
+        truth = (MechanismParams(1.0, 0.0, 1.0), MechanismParams(1.125, 0.125, 1.0))
+        lines = (MechanismParams(1.0, 0.125, 1.0), MechanismParams(1.125, 0.0, 1.0))
+        # both assignments total 0.125: one in slope, the other in intercept
+        assert matched_errors(tuple(lines[i] for i in order), truth) == expected
+
+    def test_matched_errors_none_when_infeasible(self):
+        a = MechanismParams(1.0, 0.0, 1.0)
+        assert matched_errors((a, a), (a, MechanismParams(3.0, 3.0, 1.0))) is None
+        assert matched_errors((MechanismParams(1.25, 0.0, 1.0),), (a,)) is None
+        assert matched_errors((a,), (a, a)) is None
+
+    def test_matched_errors_in_truth_frame(self):
+        truth = (MechanismParams(4.0, 2.0, 1.0, Direction.XY),)
+        est = (MechanismParams(0.25, -0.53125, 0.25, Direction.YX),)  # x = y/4 - 0.53125
+        assert matched_errors(est, truth) == (0.0, 0.125)

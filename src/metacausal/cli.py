@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -361,6 +362,7 @@ _deviation = _checked(float, lambda d: 0.0 <= d < 1.0, "class deviation must lie
 _confidence = _checked(float, lambda c: 0.0 < c < 1.0, "confidence must lie in (0, 1)")
 _positive_int = _checked(int, lambda n: n >= 1, "expected an integer >= 1")
 _unit_level = _checked(float, lambda s: 0.0 <= s <= 1.0, "level must lie in [0, 1]")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "expected a positive finite number")
 _CPUS = os.cpu_count() or 1
 _workers = _checked(int, lambda n: 1 <= n <= _CPUS, f"workers must lie in [1, {_CPUS}]")
 
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--budget",
-        type=float,
+        type=_positive_float,
         default=None,
         help="advisory wall-clock budget in seconds, recorded in manifests",
     )
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", parents=[common], help="re-measure a reference table at a given scale")
     p.add_argument("table", type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--scale", type=float, default=0.3)
+    p.add_argument("--scale", type=_positive_float, default=0.3)
     p.add_argument(
         "--k", type=int, default=None, choices=ref.MECHANISM_COUNTS, help="restrict to one mechanism count"
     )

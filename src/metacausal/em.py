@@ -7,12 +7,19 @@ the noise scale, and then recomputes responsibilities from the Laplace
 densities.  No mixing proportions are estimated: components enter the
 mixture with equal weight, and the model log-likelihood is the sum over
 points of the log of the mean component density.
+
+A run stops early at an exact fixed point: once a step returns the
+mechanisms it was given, bit for bit, every later step would return them
+again, because the responsibilities and the log-likelihood are functions of
+the mechanisms and the dataset alone.  With one mechanism every
+responsibility is exactly 1, so a k = 1 run stops by its second step.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,16 +245,36 @@ def em_step(data: Dataset, state: MixtureState) -> MixtureState:
     )
 
 
+def _same_bits(a: tuple[MechanismParams, ...], b: tuple[MechanismParams, ...]) -> bool:
+    """True when both tuples hold, in order, mechanisms with the same direction
+    and the same bits of alpha, beta and b (so 0.0 and -0.0 differ)."""
+    return len(a) == len(b) and all(
+        p.direction is q.direction
+        and struct.pack("3d", p.alpha, p.beta, p.b) == struct.pack("3d", q.alpha, q.beta, q.b)
+        for p, q in zip(a, b)
+    )
+
+
 def run_em(data: Dataset, init: MixtureState, config: EMConfig) -> MixtureState:
-    """Project the seed mechanisms onto the dataset, then apply exactly
-    ``config.steps`` EM steps."""
+    """Project the seed mechanisms onto the dataset, then apply up to
+    ``config.steps`` EM steps.
+
+    The run returns as soon as a step gives back its input mechanisms bit for
+    bit.  A step's output depends only on the dataset and on its input
+    mechanisms (the responsibilities are computed from them), so from there
+    on every step would return the same state, and the result is the one the
+    full ``config.steps`` steps give.
+    """
     state = MixtureState(
         init.mechanisms,
         responsibilities(data, init.mechanisms),
         mixture_log_likelihood(data, init.mechanisms),
     )
     for _ in range(config.steps):
-        state = em_step(data, state)
+        new = em_step(data, state)
+        if _same_bits(new.mechanisms, state.mechanisms):
+            return new
+        state = new
     return state
 
 

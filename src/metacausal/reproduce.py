@@ -15,6 +15,7 @@ its index, so results are independent of scheduling and worker count.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -102,6 +103,12 @@ def _map(fn, tasks: list, workers: int, chunksize: int) -> list:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
+def _checked_scale(scale: float) -> float:
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
+    return scale
+
+
 def _cells(only_k: int | None, only_d: float | None):
     """The (d, k) reference-table cells in table order, restricted to
     ``only_k`` and ``only_d`` when they are set."""
@@ -124,7 +131,7 @@ def measure_convergence_cell(
     each (a restart re-seeds the EM from a fresh random point sample on a
     fresh dataset here; each run carries its own derived seed).
     """
-    runs = max(1, round(_SETUPS_FULL_SCALE * _RESTARTS_PER_SETUP * scale))
+    runs = max(1, round(_SETUPS_FULL_SCALE * _RESTARTS_PER_SETUP * _checked_scale(scale)))
     seeds = _task_seeds(master_seed, k, d, runs)
     outcomes = _map(_single_restart, [(k, d, s) for s in seeds], workers, chunksize=8)
     converged = sum(ok for ok, _, _ in outcomes)
@@ -156,7 +163,7 @@ def confusion_row(
     **config_kwargs,
 ) -> Counter:
     """Recovered-count tally over ``round(100 * scale)`` datasets."""
-    n_datasets = max(1, round(_DATASETS_FULL_SCALE * scale))
+    n_datasets = max(1, round(_DATASETS_FULL_SCALE * _checked_scale(scale)))
     seeds = _task_seeds(master_seed, k, d, n_datasets)
     tasks = [(k, d, s, config_kwargs) for s in seeds]
     return Counter(_map(_discover_dataset, tasks, workers, chunksize=1))

@@ -142,6 +142,7 @@ def test_criterion_5_parameter_accuracy(convergence_cells):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_recovery_confusion_scaled():
     start = time.monotonic()
     tallies: dict[int, Counter] = {}

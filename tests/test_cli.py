@@ -139,6 +139,9 @@ class TestBounds:
             (["reproduce", "3", "--workers", str((os.cpu_count() or 1) + 1)], "--workers"),
             (["simulate", "--system", "tag", "--steps", "-1"], "--steps"),
             (["simulate", "--system", "stress", "--s0", "2"], "--s0"),
+            *((["reproduce", "3", "--scale", v, "--k", "1", "--dev", "0.0"], "--scale")
+              for v in ("-1", "0", "nan", "inf")),
+            *((["gen", "--k", "1", "--n", "30", "--budget", v], "--budget") for v in ("nan", "-3", "0")),
         ],
     )
     def test_bad_value_is_usage_error(self, capsys, argv, flag):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metacausal.datagen import (
     CsvFormatError,
@@ -16,6 +18,16 @@ from metacausal.datagen import (
     write_dataset_csv,
 )
 from metacausal.stats import B_FLOOR, anderson_darling_laplace
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POINTS = st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=50)
+
+
+def _drawn_dataset(data, points, labelled):
+    labels = None
+    if labelled:
+        labels = data.draw(st.lists(st.integers(0, 9), min_size=len(points), max_size=len(points)))
+    return Dataset(np.array(points), labels)
 
 
 class TestClassProbabilities:
@@ -192,6 +204,41 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError) as err:
             read_dataset_csv(path)
         assert err.value.row == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=_POINTS, labelled=st.booleans(), data=st.data())
+    def test_drawn_round_trip_is_bit_exact(self, tmp_path_factory, points, labelled, data):
+        ds = _drawn_dataset(data, points, labelled)
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_dataset_csv(ds, path)
+        back = read_dataset_csv(path)
+        assert back.points.tobytes() == ds.points.tobytes()
+        if labelled:
+            assert back.labels.tolist() == ds.labels.tolist()
+        else:
+            assert back.labels is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=_POINTS,
+        labelled=st.booleans(),
+        token=st.sampled_from(["nan", "inf", "-inf", "1e999"]),
+        data=st.data(),
+    )
+    def test_drawn_non_finite_token_reports_its_row(
+        self, tmp_path_factory, points, labelled, token, data
+    ):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        write_dataset_csv(_drawn_dataset(data, points, labelled), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = data.draw(st.integers(1, len(lines) - 1), label="data line")
+        fields = lines[index].split(",")
+        fields[data.draw(st.integers(0, 1), label="column")] = token
+        lines[index] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError) as err:
+            read_dataset_csv(path)
+        assert err.value.row == index + 1
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "nohdr.csv"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from metacausal.datagen import (
 from metacausal.em import (
     DegeneratePairError,
     EMConfig,
+    MixtureState,
     check_convergence,
     draw_seed_state,
     em_step,
@@ -20,6 +23,7 @@ from metacausal.em import (
     params_in_frame,
     responsibilities,
     run_em,
+    _same_bits,
 )
 from metacausal.stats import B_FLOOR, l1_fit, laplace_logpdf, sample_laplace
 
@@ -195,11 +199,39 @@ class TestEMSteps:
         )
         resp = responsibilities(ds, mechs)
         assert resp[:, 1].sum() < 2.0
-        from metacausal.em import MixtureState
-
         state = MixtureState(mechs, resp, mixture_log_likelihood(ds, mechs))
         out = em_step(ds, state)
         assert out.mechanisms[1] == mechs[1]
+
+
+def _hand_run(ds, init, steps):
+    """The projected seed state followed by ``steps`` hand-applied em_step calls."""
+    mechs = init.mechanisms
+    states = [MixtureState(mechs, responsibilities(ds, mechs), mixture_log_likelihood(ds, mechs))]
+    for _ in range(steps):
+        states.append(em_step(ds, states[-1]))
+    return states
+
+
+def _bits(state):
+    """Mechanism directions and bits, responsibility bytes and log-likelihood bits."""
+    mechs = tuple((m.direction, struct.pack("3d", m.alpha, m.beta, m.b)) for m in state.mechanisms)
+    return mechs, state.responsibilities.tobytes(), struct.pack("d", state.log_likelihood)
+
+
+def _count_steps(monkeypatch):
+    """Count the em_step calls run_em makes from here on."""
+    import metacausal.em as em_mod
+
+    calls = {"n": 0}
+    original = em_mod.em_step
+
+    def counting(data, state):
+        calls["n"] += 1
+        return original(data, state)
+
+    monkeypatch.setattr(em_mod, "em_step", counting)
+    return calls
 
 
 class TestRunEM:
@@ -222,19 +254,34 @@ class TestRunEM:
         )
 
     def test_exact_step_count(self, monkeypatch):
-        import metacausal.em as em_mod
-
-        calls = {"n": 0}
-        original = em_mod.em_step
-
-        def counting(data, state):
-            calls["n"] += 1
-            return original(data, state)
-
-        monkeypatch.setattr(em_mod, "em_step", counting)
+        # k = 1: every responsibility is exactly 1, so the second step refits
+        # the same weights, returns its input mechanisms and ends the run.
         ds = random_dataset(1, 0.0, seed=7)
-        em_mod.run_em(ds, _seeded_init(ds, 1, 2), EMConfig(steps=3))
-        assert calls["n"] == 3
+        init = _seeded_init(ds, 1, 2)
+        expected = _hand_run(ds, init, 3)[-1]
+        calls = _count_steps(monkeypatch)
+        out = run_em(ds, init, EMConfig(steps=3))
+        assert calls["n"] == 2
+        assert _bits(out) == _bits(expected)
+
+    def test_k2_runs_every_step(self, monkeypatch):
+        ds = random_dataset(2, 0.0, seed=9)
+        init = _seeded_init(ds, 2, 4)
+        config = EMConfig.for_components(2)
+        states = _hand_run(ds, init, config.steps)
+        for before, after in zip(states, states[1:]):
+            assert _bits(after)[0] != _bits(before)[0]
+        calls = _count_steps(monkeypatch)
+        out = run_em(ds, init, config)
+        assert calls["n"] == config.steps
+        assert _bits(out) == _bits(states[-1])
+
+    def test_same_bits(self):
+        one = MechanismParams(0.5, 0.0, 1.0, Direction.XY)
+        assert _same_bits((one,), (MechanismParams(0.5, 0.0, 1.0, Direction.XY),))
+        assert not _same_bits((one,), (MechanismParams(0.5, -0.0, 1.0, Direction.XY),))
+        assert not _same_bits((one,), (MechanismParams(0.5, 0.0, 1.0, Direction.YX),))
+        assert not _same_bits((one,), (one, one))
 
     def test_k1_matches_direct_l1_fit(self):
         ds = random_dataset(1, 0.0, seed=8)

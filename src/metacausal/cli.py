@@ -7,8 +7,9 @@ recovery on a CSV), ``bounds`` (resample-count tables), ``reproduce``
 Every command is reproducible from its flags plus the master seed (flag
 ``--seed``, falling back to the METACAUSAL_SEED environment variable, then
 0).  Commands that write files also write a manifest JSON recording the
-command, the configuration snapshot, the seeds, and the artifact paths;
-JSON results name their manifest, CSV artifacts are named by it.
+command, the configuration snapshot, the seeds, the artifact paths, the
+elapsed wall time, the software versions and the usable cores; JSON results
+name their manifest, CSV artifacts are named by it.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 internal error.
 """
@@ -20,11 +21,14 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
+from . import __version__
 from . import reference_values as ref
 from . import reproduce
 from .bounds import (
@@ -41,7 +45,7 @@ from .datagen import (
     sample_mechanisms,
     write_dataset_csv,
 )
-from .discovery import DiscoveryConfig, recover_mechanism_count
+from .discovery import DiscoveryConfig, recover_mechanism_count, usable_cores
 from .systems import follower, locks, stress, tag
 
 EXIT_OK = 0
@@ -70,6 +74,13 @@ def _write_manifest(out: Path, command: str, config: dict, artifacts: list[str],
         "task_seeds": [args.seed],
         "artifacts": artifacts,
         "wall_clock_budget_seconds": args.budget,
+        "elapsed_seconds": perf_counter() - args.started,
+        "versions": {
+            "metacausal": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+        "usable_cores": usable_cores(),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
@@ -363,8 +374,12 @@ _confidence = _checked(float, lambda c: 0.0 < c < 1.0, "confidence must lie in (
 _positive_int = _checked(int, lambda n: n >= 1, "expected an integer >= 1")
 _unit_level = _checked(float, lambda s: 0.0 <= s <= 1.0, "level must lie in [0, 1]")
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "expected a positive finite number")
-_CPUS = os.cpu_count() or 1
-_workers = _checked(int, lambda n: 1 <= n <= _CPUS, f"workers must lie in [1, {_CPUS}]")
+
+
+def _workers(text: str) -> int:
+    cores = usable_cores()
+    check = _checked(int, lambda n: 1 <= n <= cores, f"workers must lie in [1, {cores}], the usable cores")
+    return check(text)
 
 
 def _deviations(text: str) -> list[float]:
@@ -401,7 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="dataset.csv")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("discover", parents=[common], help="recover the mechanism count from a dataset CSV")
+    p = sub.add_parser(
+        "discover",
+        parents=[common],
+        help="recover the mechanism count from a dataset CSV",
+        description="Recover the mechanism count from a dataset CSV. A candidate k with at "
+        "least 4 restarts per worker runs its restarts over a process pool of up to the "
+        "usable cores (the CPU affinity, so taskset limits them); the results are reduced "
+        "in restart order, so the winner is the same bit for bit on any core count.",
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="discovery.json")
     p.add_argument("--kmax", type=int, default=4)
@@ -425,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dev", type=float, default=None, choices=ref.DEVIATIONS, help="restrict to one deviation"
     )
-    p.add_argument("--workers", type=_workers, default=1, help=f"worker processes, 1 to {_CPUS}")
+    p.add_argument("--workers", type=_workers, default=1, help="worker processes, 1 to the usable cores")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(fn=cmd_reproduce)
 
@@ -446,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = perf_counter()
     try:
         return args.fn(args)
     except SystemExit:

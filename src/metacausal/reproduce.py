@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from . import reference_values as ref
 from .bounds import empirical_resamples, table2_theoretical
 from .datagen import random_dataset
-from .discovery import DiscoveryConfig, recover_mechanism_count
+from .discovery import DiscoveryConfig, map_tasks, recover_mechanism_count
 from .em import (
     EMConfig,
     check_convergence,
@@ -90,19 +89,6 @@ def _single_restart(args) -> tuple[bool, float, float]:
     return True, slope, intercept
 
 
-def _map(fn, tasks: list, workers: int, chunksize: int) -> list:
-    """``[fn(t) for t in tasks]``, over a pool of at most ``workers`` processes.
-
-    The pool never outnumbers the tasks: with the fork start method every
-    worker is started at the first submit, whatever the task count.
-    """
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
-
-
 def _checked_scale(scale: float) -> float:
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be positive and finite, got {scale}")
@@ -133,7 +119,7 @@ def measure_convergence_cell(
     """
     runs = max(1, round(_SETUPS_FULL_SCALE * _RESTARTS_PER_SETUP * _checked_scale(scale)))
     seeds = _task_seeds(master_seed, k, d, runs)
-    outcomes = _map(_single_restart, [(k, d, s) for s in seeds], workers, chunksize=8)
+    outcomes = map_tasks(_single_restart, [(k, d, s) for s in seeds], workers, chunksize=8)
     converged = sum(ok for ok, _, _ in outcomes)
     slopes = [s for ok, s, _ in outcomes if ok]
     intercepts = [b for ok, _, b in outcomes if ok]
@@ -166,7 +152,7 @@ def confusion_row(
     n_datasets = max(1, round(_DATASETS_FULL_SCALE * _checked_scale(scale)))
     seeds = _task_seeds(master_seed, k, d, n_datasets)
     tasks = [(k, d, s, config_kwargs) for s in seeds]
-    return Counter(_map(_discover_dataset, tasks, workers, chunksize=1))
+    return Counter(map_tasks(_discover_dataset, tasks, workers, chunksize=1))
 
 
 def table1_rows(

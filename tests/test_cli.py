@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from metacausal.cli import main
+from metacausal import cli
+from metacausal.cli import build_parser, main
+from metacausal.discovery import usable_cores
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -100,6 +107,21 @@ class TestDiscover:
         assert "d.csv.meta.json" in err and "'beta'" in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_manifest_records_what_ran(self, tmp_path):
+        main(["gen", "--k", "1", "--n", "60", "--seed", "3", "--out", str(tmp_path / "d.csv")])
+        assert main(["discover", "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "r.json")]) == 0
+
+        def strict(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        text = (tmp_path / "r.json.manifest.json").read_text()
+        manifest = json.loads(text, parse_constant=strict)
+        assert math.isfinite(manifest["elapsed_seconds"]) and manifest["elapsed_seconds"] >= 0
+        assert set(manifest["versions"]) == {"metacausal", "numpy", "python"}
+        assert manifest["versions"]["numpy"] == np.__version__
+        assert all(isinstance(v, str) and v for v in manifest["versions"].values())
+        assert manifest["usable_cores"] == usable_cores()
+
     def test_empirical_kmax_above_reference_is_usage_error(self, tmp_path):
         main(["gen", "--k", "1", "--n", "100", "--seed", "3", "--out", str(tmp_path / "d.csv")])
         with pytest.raises(SystemExit) as exit_info:
@@ -149,6 +171,93 @@ class TestBounds:
             main(argv)
         assert exit_info.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+
+
+    def test_workers_bounded_by_usable_cores(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "usable_cores", lambda: 1)
+        # Only the parser runs: were the value accepted, no table would start.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["reproduce", "3", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "argument --workers:" in capsys.readouterr().err
+
+
+def _rejected_by(convert):
+    def rejected(text: str) -> bool:
+        try:
+            convert(text)
+        except (ValueError, OverflowError):
+            return True
+        return False
+
+    return rejected
+
+
+_NOT_FLOAT = st.text(max_size=8).filter(_rejected_by(float))
+_NOT_INT = st.text(max_size=8).filter(_rejected_by(int))
+_NAN_INF = st.sampled_from(["nan", "inf", "-inf"])
+
+
+def _floats_outside(low, high, low_ok, high_ok):
+    """Text of floats outside the interval from ``low`` to ``high``, NaN and
+    non-numbers; ``low_ok``/``high_ok`` say whether the end itself is valid."""
+    below = st.floats(max_value=low, exclude_max=low_ok, allow_nan=False)
+    above = st.floats(min_value=high, exclude_min=high_ok, allow_nan=False)
+    return st.one_of(below.map(repr), above.map(repr), st.just("nan"), _NOT_FLOAT)
+
+
+_BAD_DEVIATION = _floats_outside(0.0, 1.0, True, False)
+_BAD_POSITIVE_INT = st.one_of(st.integers(max_value=0).map(str), _NOT_INT)
+_BAD_POSITIVE_FLOAT = st.one_of(
+    st.floats(max_value=0.0, allow_nan=False).map(repr), _NAN_INF, _NOT_FLOAT
+)
+_BAD_WORKERS = st.one_of(
+    st.integers(max_value=0).map(str), st.integers(min_value=usable_cores() + 1).map(str), _NOT_INT
+)
+
+
+@st.composite
+def _bad_deviation_list(draw):
+    """Comma-separated valid deviations with one bad entry among them."""
+    good = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True).map(repr), max_size=3))
+    bad = draw(_BAD_DEVIATION.filter(lambda t: "," not in t))
+    good.insert(draw(st.integers(0, len(good))), bad)
+    return ",".join(good)
+
+
+# (a command line, a flag it checks, drawn bad values of that flag)
+_CHECKED_FLAGS = [
+    (["gen", "--k", "1"], "--dev", _BAD_DEVIATION),
+    (["discover", "--data", "d.csv"], "--dev", _BAD_DEVIATION),
+    (["gen", "--k", "1"], "--n", _BAD_POSITIVE_INT),
+    (["bounds"], "--confidence", _floats_outside(0.0, 1.0, False, False)),
+    (["bounds"], "--devs", _bad_deviation_list()),
+    (["bounds"], "--n-max", _BAD_POSITIVE_INT),
+    (["simulate", "--system", "stress"], "--steps", _BAD_POSITIVE_INT),
+    (["simulate", "--system", "stress"], "--s0", _floats_outside(0.0, 1.0, True, True)),
+    (["reproduce", "3"], "--scale", _BAD_POSITIVE_FLOAT),
+    (["gen", "--k", "1"], "--budget", _BAD_POSITIVE_FLOAT),
+    (["reproduce", "3"], "--workers", _BAD_WORKERS),
+]
+
+
+class TestDrawnBadValues:
+    """Every checked flag turns a drawn out-of-range or non-numeric value into
+    exit 2, with a message naming the flag.  Only the parser runs, so a value
+    that slipped through would start no command."""
+
+    @pytest.mark.parametrize(
+        "prefix, flag, values", _CHECKED_FLAGS, ids=[f"{p[0]} {f}" for p, f, _ in _CHECKED_FLAGS]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bad_value_exits_2_naming_the_flag(self, prefix, flag, values, data):
+        value = data.draw(values, label=flag)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*prefix, f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}:" in err.getvalue()
 
 
 class TestReproduce:

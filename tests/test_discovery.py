@@ -1,7 +1,17 @@
+import math
+import multiprocessing
+import os
+import struct
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from metacausal.datagen import Dataset, random_dataset
+from metacausal import discovery
+from metacausal.datagen import Dataset, Direction, MechanismParams, random_dataset
 from metacausal.discovery import (
     DiscoveryConfig,
     dominance_filter,
@@ -10,7 +20,7 @@ from metacausal.discovery import (
     resamples_for,
     validate_k,
 )
-from metacausal.em import check_convergence
+from metacausal.em import EMConfig, check_convergence, draw_seed_state, run_em
 
 
 class TestConfig:
@@ -89,6 +99,143 @@ class TestLoRansacBest:
             best = lo_ransac_best(ds, 2, 8, np.random.default_rng(seed))
             hits += check_convergence(best.mechanisms, ds.generator.mechanisms)
         assert hits >= 14
+
+
+def _serial_best(data, k, n_resamples, rng):
+    """The restart loop as it ran before the fan-out: keep the best EM state."""
+    config = EMConfig.for_components(k)
+    best = None
+    for child in rng.spawn(n_resamples):
+        state = draw_seed_state(data, k, child)
+        if state is None:
+            continue
+        candidate = run_em(data, state, config)
+        if best is None or candidate.log_likelihood > best.log_likelihood:
+            best = candidate
+    return best
+
+
+def _bits(state):
+    """Mechanism bits, responsibility bytes and log-likelihood bits of a state."""
+    return (
+        [(m.direction, struct.pack("3d", m.alpha, m.beta, m.b)) for m in state.mechanisms],
+        state.responsibilities.tobytes(),
+        state.responsibilities.shape,
+        struct.pack("d", state.log_likelihood),
+    )
+
+
+def _repeated_x_dataset():
+    """100 points at x = 0 and 6 elsewhere: most seed draws hold a vertical
+    pair, and with seed 3 five of twelve k = 2 restarts draw only such pairs."""
+    rng = np.random.default_rng(0)
+    x = np.concatenate([np.zeros(100), rng.normal(size=6)])
+    return Dataset(np.column_stack([x, rng.normal(size=len(x))]))
+
+
+def _stage_in_child(args):
+    data, k, n_resamples, seed = args
+    return _bits(lo_ransac_best(data, k, n_resamples, np.random.default_rng(seed)))
+
+
+class _CannedRestarts:
+    """Stand-in restart loop: restart i gives ``mechs[i]`` with ``scores[i]``,
+    or None when i has no score."""
+
+    def __init__(self, mechs, scores):
+        self.mechs, self.scores = mechs, scores
+
+    def __call__(self, task):
+        _, _, children = task
+        index = [child.bit_generator.seed_seq.spawn_key[-1] for child in children]
+        return [(self.mechs[i], self.scores[i]) if i in self.scores else None for i in index]
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+class TestRestartFanOut:
+    """The winner is the same whether the restarts run here or over a pool."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        started = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(discovery, "ProcessPoolExecutor", CountingPool)
+        return started
+
+    @pytest.mark.parametrize("k, seed, n_resamples", [(2, 11, 8), (3, 12, 9)])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_same_winner_on_one_and_two_cores(self, monkeypatch, pools, k, seed, n_resamples, cores):
+        data = random_dataset(k, 0.1, seed=seed, n_per_class_avg=100)
+        monkeypatch.setattr(discovery, "usable_cores", lambda: cores)
+        got = lo_ransac_best(data, k, n_resamples, np.random.default_rng(seed))
+        assert pools == ([2] if cores == 2 else [])
+        assert _bits(got) == _bits(_serial_best(data, k, n_resamples, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_degenerate_draws_same_winner(self, monkeypatch, pools, cores):
+        data = _repeated_x_dataset()
+        children = np.random.default_rng(3).spawn(12)
+        assert 0 < sum(draw_seed_state(data, 2, c) is None for c in children) < 12
+        monkeypatch.setattr(discovery, "usable_cores", lambda: cores)
+        got = lo_ransac_best(data, 2, 12, np.random.default_rng(3))
+        assert len(pools) == (cores == 2)
+        assert _bits(got) == _bits(_serial_best(data, 2, 12, np.random.default_rng(3)))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_nan_log_likelihoods_reduce_as_in_restart_order(self, monkeypatch, pools, cores):
+        # Restart 2 opens the second slice of two with a NaN: in restart order
+        # it never wins, and restart 3 beats restart 0.  A per-slice best
+        # would keep the NaN for that slice and hand the stage to restart 0.
+        data = random_dataset(1, 0.0, seed=14, n_per_class_avg=30)
+        mechs = [(MechanismParams(float(i), 0.0, 1.0, Direction.XY),) for i in range(16)]
+        scores = {0: 5.0, 2: math.nan, 3: 7.0}
+        monkeypatch.setattr(discovery, "usable_cores", lambda: cores)
+        monkeypatch.setattr(discovery, "_run_restarts", _CannedRestarts(mechs, scores))
+        got = lo_ransac_best(data, 1, 16, np.random.default_rng(0))
+        assert len(pools) == (cores == 2)
+        assert got.mechanisms == mechs[3] and got.log_likelihood == 7.0
+
+    @pytest.mark.parametrize("n_resamples", [2, 7])
+    def test_small_stage_starts_no_pool(self, monkeypatch, n_resamples):
+        monkeypatch.setattr(discovery, "usable_cores", lambda: 2)
+        monkeypatch.setattr(discovery, "ProcessPoolExecutor", _NoPool)
+        data = random_dataset(1, 0.0, seed=4, n_per_class_avg=100)
+        got = lo_ransac_best(data, 1, n_resamples, np.random.default_rng(4))
+        assert _bits(got) == _bits(_serial_best(data, 1, n_resamples, np.random.default_rng(4)))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_worker_process_starts_no_pool(self, monkeypatch):
+        # The forked child inherits both patches, so a pool there would raise.
+        monkeypatch.setattr(discovery, "usable_cores", lambda: 2)
+        monkeypatch.setattr(discovery, "ProcessPoolExecutor", _NoPool)
+        data = random_dataset(2, 0.0, seed=13, n_per_class_avg=100)
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            got = pool.submit(_stage_in_child, (data, 2, 8, 13)).result(timeout=120)
+        assert got == _bits(_serial_best(data, 2, 8, np.random.default_rng(13)))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_usable_cores_follow_the_affinity(self):
+        code = (
+            "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from metacausal.discovery import usable_cores; print(usable_cores())"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(discovery.__file__).parents[1])},
+        )
+        assert done.stdout.split() == ["1"]
 
 
 class TestDominanceFilter:

@@ -8,8 +8,10 @@ Every command is reproducible from its flags plus the master seed (flag
 ``--seed``, falling back to the METACAUSAL_SEED environment variable, then
 0).  Commands that write files also write a manifest JSON recording the
 command, the configuration snapshot, the seeds, the artifact paths, the
-elapsed wall time, the software versions and the usable cores; JSON results
-name their manifest, CSV artifacts are named by it.
+elapsed wall time, the software versions, the usable cores and the git
+commit of the package's checkout (null outside one); JSON results name their
+manifest, CSV artifacts are named by it.  In ``discover`` results, each
+k's ``resamples`` is the restart budget, not the number of restarts run.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 internal error.
 """
@@ -22,6 +24,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -65,6 +68,23 @@ def _manifest_path(out: Path) -> Path:
     return out.with_suffix(out.suffix + ".manifest.json")
 
 
+def _git_sha() -> str | None:
+    """HEAD of the git checkout holding this package, or None without git or
+    outside a checkout."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    sha = done.stdout.strip()
+    return sha if done.returncode == 0 and sha else None
+
+
 def _write_manifest(out: Path, command: str, config: dict, artifacts: list[str], args) -> Path:
     path = _manifest_path(out)
     payload = {
@@ -81,6 +101,7 @@ def _write_manifest(out: Path, command: str, config: dict, artifacts: list[str],
             "python": platform.python_version(),
         },
         "usable_cores": usable_cores(),
+        "git_sha": _git_sha(),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path

@@ -54,8 +54,9 @@ __all__ = [
 ]
 
 # A stage fans out only with at least this many restarts per worker process:
-# starting a pool of two workers costs 12-14 ms, a k = 1 restart on 100 points
-# about 2 ms, and a k = 4 restart on 2000 points 60-100 ms.
+# on a 2-core Xeon, starting a pool of two workers costs 8-10 ms, a k = 1
+# restart on 100 points about 0.5 ms, and a k = 4 restart on 2000 points
+# 45-50 ms.
 _MIN_RESTARTS_PER_WORKER = 4
 
 # Tasks per worker of a fanned-out stage.  Restart costs vary, so several
@@ -108,7 +109,11 @@ class DiscoveryConfig:
 
 @dataclass(frozen=True)
 class KDiagnostics:
-    """Everything recorded about one candidate mechanism count."""
+    """Everything recorded about one candidate mechanism count.
+
+    ``resamples`` is the restart budget, not the number of restarts run: a
+    k = 1 stage may stop early (see :func:`lo_ransac_best`).
+    """
 
     state: MixtureState
     resamples: int
@@ -170,9 +175,23 @@ def map_tasks(fn, tasks: list, workers: int, chunksize: int = 1) -> list:
 def _run_restarts(task) -> list[tuple[tuple, float] | None]:
     """EM restarts of ``(data, k, children)``, one per child generator in
     order: None when every seed draw was degenerate, else the fitted
-    mechanisms and their log-likelihood."""
+    mechanisms and their log-likelihood.
+
+    At k = 1, on a dataset whose y values hold at least two distinct values,
+    the loop stops after the first restart that draws a usable seed, because
+    every later one would return the same outcome (or raise, where its seed
+    line's residuals overflow a float).  A usable seed pair has two distinct
+    x values, so x varies too.  The projected seed gives every point a
+    responsibility of exactly 1, so EM step 1 fits unit weights whatever the
+    seed: the weight sum m >= 2 freezes nothing, and neither direction's
+    ``l1_fit`` is degenerate when x and y both vary.  The run then stops
+    after that step (see :func:`run_em`), so its mechanisms and
+    log-likelihood do not depend on the seed.  When all y are equal, every
+    restart runs.
+    """
     data, k, children = task
     config = EMConfig.for_components(k)
+    seed_free = k == 1 and not np.all(data.y == data.y[0])
     outcomes = []
     for child in children:
         state = draw_seed_state(data, k, child, init_from_pairs)
@@ -181,6 +200,8 @@ def _run_restarts(task) -> list[tuple[tuple, float] | None]:
             continue
         fitted = run_em(data, state, config)
         outcomes.append((fitted.mechanisms, fitted.log_likelihood))
+        if seed_free:
+            break
     return outcomes
 
 
@@ -201,6 +222,12 @@ def lo_ransac_best(
     and the winner's responsibilities are recomputed from its mechanisms,
     which gives the bits the EM run ended with.  So the result does not
     depend on the core count.
+
+    At k = 1 a slice may stop after its first usable restart (see
+    :func:`_run_restarts`): every later usable restart would return the same
+    mechanisms and log-likelihood, so under the strict ``>`` it could not
+    replace the first, also when that log-likelihood is NaN.  The winner is
+    the one the full budget gives.
     """
     if n_resamples < 1:
         raise ValueError(f"need at least one restart, got {n_resamples}")

@@ -8,18 +8,17 @@ densities.  No mixing proportions are estimated: components enter the
 mixture with equal weight, and the model log-likelihood is the sum over
 points of the log of the mean component density.
 
-A run stops early at an exact fixed point: once a step returns the
-mechanisms it was given, bit for bit, every later step would return them
-again, because the responsibilities and the log-likelihood are functions of
-the mechanisms and the dataset alone.  With one mechanism every
-responsibility is exactly 1, so a k = 1 run stops by its second step.
+A run stops early at an exact fixed point: before a step that would receive
+the same responsibilities, bit for bit, as the step before it.  Such a step
+returns its input mechanisms, so it and every later step would repeat the
+current state (see :func:`run_em`).  With one mechanism every responsibility
+is exactly 1, so a k = 1 run stops after its first step.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,36 +244,38 @@ def em_step(data: Dataset, state: MixtureState) -> MixtureState:
     )
 
 
-def _same_bits(a: tuple[MechanismParams, ...], b: tuple[MechanismParams, ...]) -> bool:
-    """True when both tuples hold, in order, mechanisms with the same direction
-    and the same bits of alpha, beta and b (so 0.0 and -0.0 differ)."""
-    return len(a) == len(b) and all(
-        p.direction is q.direction
-        and struct.pack("3d", p.alpha, p.beta, p.b) == struct.pack("3d", q.alpha, q.beta, q.b)
-        for p, q in zip(a, b)
-    )
-
-
 def run_em(data: Dataset, init: MixtureState, config: EMConfig) -> MixtureState:
     """Project the seed mechanisms onto the dataset, then apply up to
     ``config.steps`` EM steps.
 
-    The run returns as soon as a step gives back its input mechanisms bit for
-    bit.  A step's output depends only on the dataset and on its input
-    mechanisms (the responsibilities are computed from them), so from there
-    on every step would return the same state, and the result is the one the
-    full ``config.steps`` steps give.
+    The run stops before a step whose input responsibilities equal, bit for
+    bit, those the previous step received, and the result is the one the
+    full ``config.steps`` steps give.  Mechanism j of a step's output
+    depends only on the dataset and column j of the responsibilities, except
+    through two fallbacks that return the input mechanism ``old``: a weight
+    sum below two freezes it, and a :class:`DegenerateFitError` in the re-fit
+    keeps it.  Both are decided by the dataset and the weights, and when
+    either applies the previous step, given the same weights, already
+    returned its own input unchanged.  So a step given repeated
+    responsibilities returns its input mechanisms, and with them the current
+    state bit for bit, as does every later step.  This never runs more steps
+    than stopping once a step returns its input mechanisms would: the step
+    after such a step receives repeated responsibilities.  At k = 1 every
+    responsibility is exactly 1, so the run stops after step 1.
+    Responsibilities are finite and never -0.0, so ``np.array_equal``
+    compares their bits.
     """
     state = MixtureState(
         init.mechanisms,
         responsibilities(data, init.mechanisms),
         mixture_log_likelihood(data, init.mechanisms),
     )
+    previous = None
     for _ in range(config.steps):
-        new = em_step(data, state)
-        if _same_bits(new.mechanisms, state.mechanisms):
-            return new
-        state = new
+        if previous is not None and np.array_equal(state.responsibilities, previous):
+            break
+        previous = state.responsibilities
+        state = em_step(data, state)
     return state
 
 

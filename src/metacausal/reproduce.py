@@ -216,7 +216,11 @@ def table3_rows(
     only_k: int | None = None,
     only_d: float | None = None,
 ) -> list[dict]:
-    """Measured convergence rates, the implied restart budgets, and references."""
+    """Measured convergence rates, the implied restart budgets, and references.
+
+    Runs its own convergence cells, the same ones :func:`table4_rows` runs:
+    each ``reproduce`` call builds one table, so no call runs a cell twice.
+    """
     rows = []
     for cell in _convergence_cells(scale, master_seed, workers, only_k, only_d):
         reference = ref.EM_CONVERGENCE_RATES[cell.d][cell.k - 1]
@@ -242,7 +246,11 @@ def table4_rows(
     only_k: int | None = None,
     only_d: float | None = None,
 ) -> list[dict]:
-    """Mean absolute errors of converged fits against the published ones."""
+    """Mean absolute errors of converged fits against the published ones.
+
+    Runs its own convergence cells, the same ones :func:`table3_rows` runs:
+    each ``reproduce`` call builds one table, so no call runs a cell twice.
+    """
     rows = []
     for cell in _convergence_cells(scale, master_seed, workers, only_k, only_d):
         rows.append(

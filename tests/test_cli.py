@@ -131,6 +131,42 @@ class TestDiscover:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestManifestGitSha:
+    SHA = "0123456789abcdef0123456789abcdef01234567"
+
+    def _manifest(self, tmp_path):
+        assert main(["gen", "--k", "1", "--n", "60", "--out", str(tmp_path / "d.csv")]) == 0
+        return json.loads((tmp_path / "d.csv.manifest.json").read_text())
+
+    def test_records_head_of_the_package_checkout(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_run(cmd, **kwargs):
+            calls.append((cmd, kwargs))
+            return subprocess.CompletedProcess(cmd, 0, stdout=self.SHA + "\n", stderr="")
+
+        monkeypatch.setattr(cli.subprocess, "run", fake_run)
+        assert self._manifest(tmp_path)["git_sha"] == self.SHA
+        [(cmd, kwargs)] = calls
+        assert cmd == ["git", "rev-parse", "HEAD"]
+        assert Path(kwargs["cwd"]) == Path(cli.__file__).resolve().parent
+        assert kwargs["timeout"] <= 10
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [FileNotFoundError("git"), subprocess.TimeoutExpired("git", 5),
+         subprocess.CompletedProcess([], 128, stdout="", stderr="not a git repository")],
+    )
+    def test_null_without_git_or_checkout(self, tmp_path, monkeypatch, outcome):
+        def fake_run(cmd, **kwargs):
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(cli.subprocess, "run", fake_run)
+        assert self._manifest(tmp_path)["git_sha"] is None
+
+
 class TestBounds:
     def test_reference_grid(self, capsys):
         assert main(["bounds", "--n-max", "4"]) == 0

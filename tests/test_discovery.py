@@ -237,6 +237,59 @@ class TestRestartFanOut:
         )
         assert done.stdout.split() == ["1"]
 
+    def test_k1_sixteen_restarts_on_two_cores(self, monkeypatch, pools):
+        data = random_dataset(1, 0.1, seed=15, n_per_class_avg=100)
+        monkeypatch.setattr(discovery, "usable_cores", lambda: 2)
+        got = lo_ransac_best(data, 1, 16, np.random.default_rng(15))
+        assert pools == [2]
+        assert _bits(got) == _bits(_serial_best(data, 1, 16, np.random.default_rng(15)))
+
+
+def _count_runs(monkeypatch):
+    """Count the run_em calls lo_ransac_best makes in this process from here on."""
+    calls = {"n": 0}
+    original = discovery.run_em
+
+    def counting(data, state, config):
+        calls["n"] += 1
+        return original(data, state, config)
+
+    monkeypatch.setattr(discovery, "run_em", counting)
+    return calls
+
+
+class TestK1FirstUsableRestart:
+    """At k = 1 the stage ends after its first usable restart, with the winner
+    the full budget gives."""
+
+    def test_ordinary_data_runs_em_once(self, monkeypatch):
+        data = random_dataset(1, 0.0, seed=16, n_per_class_avg=100)
+        calls = _count_runs(monkeypatch)
+        got = lo_ransac_best(data, 1, 5, np.random.default_rng(16))
+        assert calls["n"] == 1
+        assert _bits(got) == _bits(_serial_best(data, 1, 5, np.random.default_rng(16)))
+
+    def test_equal_y_runs_every_restart(self, monkeypatch):
+        x = np.random.default_rng(17).normal(size=40)
+        data = Dataset(np.column_stack([x, np.full(40, 3.0)]))
+        calls = _count_runs(monkeypatch)
+        got = lo_ransac_best(data, 1, 5, np.random.default_rng(17))
+        assert calls["n"] == 5
+        assert _bits(got) == _bits(_serial_best(data, 1, 5, np.random.default_rng(17)))
+
+    def test_vertical_draws_before_the_first_usable_restart(self, monkeypatch):
+        # 300 points at x = 0 and one at x = 1: a draw is usable only when it
+        # holds the lone point, and with seed 5 the first three restarts draw
+        # only vertical pairs and the next three draw usable ones.
+        rng = np.random.default_rng(18)
+        data = Dataset(np.column_stack([np.append(np.zeros(300), 1.0), rng.normal(size=301)]))
+        usable = [draw_seed_state(data, 1, c) is not None for c in np.random.default_rng(5).spawn(6)]
+        assert usable == [False, False, False, True, True, True]
+        calls = _count_runs(monkeypatch)
+        got = lo_ransac_best(data, 1, 6, np.random.default_rng(5))
+        assert calls["n"] == 1
+        assert _bits(got) == _bits(_serial_best(data, 1, 6, np.random.default_rng(5)))
+
 
 class TestDominanceFilter:
     def test_kept_point(self):

@@ -23,7 +23,6 @@ from metacausal.em import (
     params_in_frame,
     responsibilities,
     run_em,
-    _same_bits,
 )
 from metacausal.stats import B_FLOOR, l1_fit, laplace_logpdf, sample_laplace
 
@@ -234,6 +233,20 @@ def _count_steps(monkeypatch):
     return calls
 
 
+def _steps_against_full_budget(monkeypatch, ds, init, config):
+    """Check that run_em gives the bits of ``config.steps`` hand-applied steps,
+    in no more steps than stopping once a step returns its input mechanisms,
+    and return the steps it ran."""
+    states = _hand_run(ds, init, config.steps)
+    mechs = [_bits(s)[0] for s in states]
+    repeat = (t for t in range(1, config.steps + 1) if mechs[t] == mechs[t - 1])
+    calls = _count_steps(monkeypatch)
+    out = run_em(ds, init, config)
+    assert _bits(out) == _bits(states[-1])
+    assert calls["n"] <= next(repeat, config.steps)
+    return calls["n"]
+
+
 class TestRunEM:
     def test_k1_loglik_identity(self):
         ds = random_dataset(1, 0.0, seed=6)
@@ -254,14 +267,14 @@ class TestRunEM:
         )
 
     def test_exact_step_count(self, monkeypatch):
-        # k = 1: every responsibility is exactly 1, so the second step refits
-        # the same weights, returns its input mechanisms and ends the run.
+        # k = 1: every responsibility is exactly 1, so step 2 would receive the
+        # responsibilities step 1 received, and the run ends after step 1.
         ds = random_dataset(1, 0.0, seed=7)
         init = _seeded_init(ds, 1, 2)
         expected = _hand_run(ds, init, 3)[-1]
         calls = _count_steps(monkeypatch)
         out = run_em(ds, init, EMConfig(steps=3))
-        assert calls["n"] == 2
+        assert calls["n"] == 1
         assert _bits(out) == _bits(expected)
 
     def test_k2_runs_every_step(self, monkeypatch):
@@ -276,12 +289,21 @@ class TestRunEM:
         assert calls["n"] == config.steps
         assert _bits(out) == _bits(states[-1])
 
-    def test_same_bits(self):
-        one = MechanismParams(0.5, 0.0, 1.0, Direction.XY)
-        assert _same_bits((one,), (MechanismParams(0.5, 0.0, 1.0, Direction.XY),))
-        assert not _same_bits((one,), (MechanismParams(0.5, -0.0, 1.0, Direction.XY),))
-        assert not _same_bits((one,), (MechanismParams(0.5, 0.0, 1.0, Direction.YX),))
-        assert not _same_bits((one,), (one, one))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equals_the_full_step_budget(self, monkeypatch, k, seed):
+        ds = random_dataset(k, 0.1, seed=60 + seed, n_per_class_avg=100)
+        config = EMConfig.for_components(k)
+        steps = _steps_against_full_budget(monkeypatch, ds, _seeded_init(ds, k, seed), config)
+        if k == 1:
+            assert steps == 1
+
+    def test_frozen_mechanism_stops_at_the_fixed_point(self, monkeypatch):
+        # The far mechanism stays frozen, and the line's refit repeats from step 2.
+        ds = Dataset(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
+        mechs = (MechanismParams(1.0, 0.0, 0.5), MechanismParams(-7.0, 50.0, 0.5))
+        init = MixtureState(mechs, responsibilities(ds, mechs), mixture_log_likelihood(ds, mechs))
+        assert _steps_against_full_budget(monkeypatch, ds, init, EMConfig(steps=5)) == 2
 
     def test_k1_matches_direct_l1_fit(self):
         ds = random_dataset(1, 0.0, seed=8)

@@ -77,7 +77,6 @@ from .stats import (
     ADTestResult,
     DegenerateFitError,
     InsufficientDataError,
-    LaplaceParams,
     anderson_darling_laplace,
     calibrate_critical_values,
     estimate_scale,

@@ -6,7 +6,8 @@ recovery on a CSV), ``bounds`` (resample-count tables), ``reproduce``
 
 Every command is reproducible from its flags plus the master seed (flag
 ``--seed``, falling back to the METACAUSAL_SEED environment variable, then
-0).  Commands that write files also write a manifest JSON recording the
+0; a variable that is not an integer is a usage error when ``--seed`` is
+absent).  Commands that write files also write a manifest JSON recording the
 command, the configuration snapshot, the seeds, the artifact paths, the
 elapsed wall time, the software versions, the usable cores and the git
 commit of the package's checkout (null outside one); JSON results name their
@@ -57,11 +58,14 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-def _default_seed() -> int:
+def _env_seed(parser: argparse.ArgumentParser) -> int:
+    """The METACAUSAL_SEED environment variable, else 0; a value that is not
+    an integer is a usage error."""
+    text = os.environ.get("METACAUSAL_SEED", "0")
     try:
-        return int(os.environ.get("METACAUSAL_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        parser.error(f"METACAUSAL_SEED must be an integer, got {text!r}")
 
 
 def _manifest_path(out: Path) -> Path:
@@ -417,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--seed",
         type=int,
-        default=_default_seed(),
+        default=None,
         help="master seed (default: METACAUSAL_SEED env var, then 0)",
     )
     common.add_argument(
@@ -441,10 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
         "discover",
         parents=[common],
         help="recover the mechanism count from a dataset CSV",
-        description="Recover the mechanism count from a dataset CSV. A candidate k with at "
-        "least 4 restarts per worker runs its restarts over a process pool of up to the "
+        description="Recover the mechanism count from a dataset CSV. A candidate k >= 2 with "
+        "at least 4 restarts per worker runs its restarts over a process pool of up to the "
         "usable cores (the CPU affinity, so taskset limits them); the results are reduced "
-        "in restart order, so the winner is the same bit for bit on any core count.",
+        "in restart order, so the winner is the same bit for bit on any core count. A k = 1 "
+        "stage runs in-process and stops after its first usable restart.",
     )
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="discovery.json")
@@ -490,6 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is None:
+        args.seed = _env_seed(parser)
     args.started = perf_counter()
     try:
         return args.fn(args)

@@ -10,12 +10,13 @@ whose mechanisms all pass is returned; if none passes, no decision is made
 bound or an empirically measured convergence rate.
 
 A candidate k's restarts are independent trials, each with its own spawned
-random stream, so a stage with at least four restarts per worker fans them
-out over a process pool of up to the usable cores (the process's CPU
-affinity, so ``taskset`` limits them).  The parent reduces the results in
-restart order by the serial rule, so the winner is the same bit for bit
-whatever the core count.  A smaller stage, and any stage run inside a
-worker process, stays in-process, so pools never nest.
+random stream, so a stage of k >= 2 with at least four restarts per worker
+fans them out over a process pool of up to the usable cores (the process's
+CPU affinity, so ``taskset`` limits them).  The parent reduces the results
+in restart order by the serial rule, so the winner is the same bit for bit
+whatever the core count.  A k = 1 stage, which stops after its first usable
+restart, a smaller stage, and any stage run inside a worker process stay
+in-process, so pools never nest.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .em import (
     responsibilities,
     run_em,
 )
-from .stats import ADTestResult, anderson_darling_laplace
+from .stats import AD_MIN_POINTS, ADTestResult, anderson_darling_laplace
 
 __all__ = [
     "DiscoveryConfig",
@@ -75,7 +76,8 @@ class DiscoveryConfig:
     tabulated deviation).  ``dominance_rule`` picks the point filter:
     "relative" keeps points whose runner-up responsibility is below
     (1 - margin) times the top one; "remainder" requires the runner-up to
-    stay below margin times (1 - top).
+    stay below margin times (1 - top).  ``min_class_points`` may not fall
+    below the Anderson-Darling test's minimum sample, ``AD_MIN_POINTS``.
     """
 
     k_max: int = 4
@@ -105,6 +107,11 @@ class DiscoveryConfig:
             )
         if self.dominance_rule not in ("relative", "remainder"):
             raise ValueError(f"unknown dominance rule {self.dominance_rule!r}")
+        if self.min_class_points < AD_MIN_POINTS:
+            raise ValueError(
+                f"min_class_points must be >= {AD_MIN_POINTS}, the Anderson-Darling "
+                f"test's minimum sample, got {self.min_class_points}"
+            )
 
 
 @dataclass(frozen=True)
@@ -215,26 +222,27 @@ def lo_ransac_best(
     wins (ties keep the earliest restart).  Restart streams are spawned from
     ``rng`` so results do not depend on evaluation order.
 
-    With at least four restarts per worker and two usable cores (see
-    :func:`usable_cores`), the restarts run as contiguous slices over a
+    At k >= 2, with at least four restarts per worker and two usable cores
+    (see :func:`usable_cores`), the restarts run as contiguous slices over a
     process pool; otherwise, and inside a worker process, they run here.
     Either way the outcomes are reduced in restart order by the same rule,
     and the winner's responsibilities are recomputed from its mechanisms,
     which gives the bits the EM run ended with.  So the result does not
     depend on the core count.
 
-    At k = 1 a slice may stop after its first usable restart (see
-    :func:`_run_restarts`): every later usable restart would return the same
-    mechanisms and log-likelihood, so under the strict ``>`` it could not
-    replace the first, also when that log-likelihood is NaN.  The winner is
-    the one the full budget gives.
+    A k = 1 stage always runs here, as one slice that may stop after its
+    first usable restart (see :func:`_run_restarts`): every later usable
+    restart would return the same mechanisms and log-likelihood, so under
+    the strict ``>`` it could not replace the first, also when that
+    log-likelihood is NaN.  The winner is the one the full budget gives, and
+    slices over a pool would each run their own first usable restart.
     """
     if n_resamples < 1:
         raise ValueError(f"need at least one restart, got {n_resamples}")
     if data.m < 2 * k:
         raise ValueError(f"need at least {2 * k} points for k={k}, got {data.m}")
     children = rng.spawn(n_resamples)
-    workers = min(usable_cores(), n_resamples // _MIN_RESTARTS_PER_WORKER)
+    workers = min(usable_cores(), n_resamples // _MIN_RESTARTS_PER_WORKER) if k > 1 else 1
     n_tasks = workers * _TASKS_PER_WORKER if workers >= 2 else 1
     cuts = [i * n_resamples // n_tasks for i in range(n_tasks + 1)]
     tasks = [(data, k, children[a:b]) for a, b in zip(cuts, cuts[1:])]

@@ -6,6 +6,11 @@ fitting, maximum-likelihood scale estimation, and an Anderson-Darling
 goodness-of-fit test against the Laplace distribution with parameters
 estimated from the sample.
 
+One A^2 kernel, :func:`ad_statistic_laplace`, serves both the test and the
+Monte-Carlo calibration of its critical values, so the shipped cutoffs are
+quantiles of the very statistic the test computes.  The EM's direction
+choice uses the weighted form, :func:`weighted_ad_statistic_laplace`.
+
 Line fits have one exact solver, the anchored weighted-median descent for
 simple L1 regression (Barrodale & Roberts 1973; Wesolowsky 1981), with a
 certified stop and ties broken toward the smallest (alpha, beta).
@@ -23,14 +28,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
 __all__ = [
     "B_FLOOR",
-    "LaplaceParams",
+    "AD_MIN_POINTS",
     "ADTestResult",
     "DegenerateFitError",
     "InsufficientDataError",
@@ -56,7 +59,8 @@ _TIE_RTOL = 1e-12
 # covers the rounding of the slack's sums.
 _CERTIFY_RTOL = 1e-9
 
-_AD_MIN_POINTS = 20
+# Smallest sample the Anderson-Darling test accepts.
+AD_MIN_POINTS = 20
 
 
 class DegenerateFitError(ValueError):
@@ -65,18 +69,6 @@ class DegenerateFitError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Too few residuals to run the requested test."""
-
-
-@dataclass(frozen=True)
-class LaplaceParams:
-    """Location/scale parameters of a Laplace distribution."""
-
-    mu: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not self.b > 0:
-            raise ValueError(f"scale must be positive, got {self.b}")
 
 
 @dataclass(frozen=True)
@@ -89,9 +81,10 @@ class ADTestResult:
     n: int
 
 
-def laplace_logpdf(x, params: LaplaceParams | tuple[float, float]):
-    """Log-density log(1/(2b)) - |x - mu| / b, elementwise over ``x``."""
-    mu, b = (params.mu, params.b) if isinstance(params, LaplaceParams) else params
+def laplace_logpdf(x, params: tuple[float, float]):
+    """Log-density log(1/(2b)) - |x - mu| / b at ``params = (mu, b)``,
+    elementwise over ``x``."""
+    mu, b = params
     if not b > 0:
         raise ValueError(f"scale must be positive, got {b}")
     arr = np.asarray(x, dtype=float)
@@ -108,10 +101,11 @@ def laplace_cdf(x, mu: float = 0.0, b: float = 1.0):
     return np.where(z < 0, half_tail, 1.0 - half_tail)
 
 
-def sample_laplace(rng: np.random.Generator, b: float, size=None, mu: float = 0.0):
-    """Laplace draws via the inverse CDF: mu - b*sign(u)*ln(1-2|u|), u~U(-1/2,1/2)."""
+def sample_laplace(rng: np.random.Generator, b: float, size=None):
+    """Zero-centred Laplace draws via the inverse CDF: -b*sign(u)*ln(1-2|u|),
+    u~U(-1/2,1/2)."""
     u = rng.uniform(-0.5, 0.5, size=size)
-    return mu - b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
 def _check_xyw(xs, ys, weights):
@@ -268,73 +262,73 @@ def estimate_scale(residuals, weights=None) -> float:
     return max(B_FLOOR, float(np.dot(w, np.abs(r)) / total))
 
 
-def ad_statistic_laplace(residuals) -> float:
+def ad_statistic_laplace(residuals):
     """A-squared statistic of residuals against a fitted Laplace distribution.
 
-    Centers at the sample median, estimates the scale by maximum likelihood,
-    and evaluates A^2 = -n - (1/n) sum_i (2i-1) [ln F(z_(i)) + ln(1-F(z_(n+1-i)))]
-    on the sorted sample.
+    Works along the last axis: a 1-d sample gives a float, an ``(m, n)``
+    batch of samples an array of m statistics.  Each sample is centred at
+    its median, its scale estimated by maximum likelihood (the mean absolute
+    deviation, floored at ``B_FLOOR``), and
+    A^2 = -n - (1/n) sum_i (2i-1) [ln F(z_(i)) + ln(1-F(z_(n+1-i)))]
+    is evaluated on the sorted sample.
     """
     r = np.asarray(residuals, dtype=float)
-    z = np.sort(r - np.median(r))
-    n = len(z)
-    b = max(B_FLOOR, float(np.mean(np.abs(z))))
+    z = np.sort(r - np.median(r, axis=-1, keepdims=True), axis=-1)
+    n = z.shape[-1]
+    b = np.maximum(B_FLOOR, np.mean(np.abs(z), axis=-1, keepdims=True))
     u = np.clip(laplace_cdf(z, 0.0, b), 1e-300, 1.0 - 1e-16)
     i = np.arange(1, n + 1)
-    s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[::-1])))
-    return float(-n - s / n)
+    s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[..., ::-1])), axis=-1)
+    stat = -n - s / n
+    return float(stat) if r.ndim == 1 else stat
 
 
-def anderson_darling_laplace(
-    residuals, critical_values: Mapping[int, float] | None = None
-) -> ADTestResult:
-    """Test residuals against the Laplace distribution at the 5% level.
+def anderson_darling_laplace(residuals) -> ADTestResult:
+    """Test one 1-d sample of residuals against the Laplace distribution at
+    the 5% level.
 
     Location and scale are estimated from the sample (median and mean
     absolute deviation), and the A^2 statistic is compared against a
-    critical value interpolated from the shipped Monte-Carlo calibration
-    table (overridable via ``critical_values``).
+    critical value interpolated in n from the shipped Monte-Carlo
+    calibration table, clamped at its ends.
 
     Raises
     ------
+    ValueError
+        If ``residuals`` is not 1-d.
     InsufficientDataError
-        With fewer than 20 residuals.
+        With fewer than ``AD_MIN_POINTS`` residuals.
     """
     r = np.asarray(residuals, dtype=float)
-    if r.ndim != 1 or len(r) < _AD_MIN_POINTS:
+    if r.ndim != 1:
+        raise ValueError(f"Anderson-Darling test takes one 1-d sample, got shape {r.shape}")
+    if len(r) < AD_MIN_POINTS:
         raise InsufficientDataError(
-            f"Anderson-Darling test needs >= {_AD_MIN_POINTS} residuals, got {r.size}"
+            f"Anderson-Darling test needs >= {AD_MIN_POINTS} residuals, got {len(r)}"
         )
     stat = ad_statistic_laplace(r)
-    crit = _critical_value_at(len(r), critical_values)
+    ns, cs = _shipped_critical_values()
+    crit = float(np.interp(float(len(r)), ns, cs))
     return ADTestResult(statistic=stat, critical_value=crit, passed=stat <= crit, n=len(r))
 
 
-def _critical_value_at(n: int, table: Mapping[int, float] | None = None) -> float:
-    if table is None:
-        table = load_critical_values()
-    ns = np.array(sorted(int(k) for k in table), dtype=float)
-    cs = np.array([table[int(k)] for k in ns])
-    return float(np.interp(float(n), ns, cs))
-
-
 @lru_cache(maxsize=1)
-def _shipped_critical_values() -> dict[int, float]:
+def _shipped_critical_values() -> tuple[np.ndarray, np.ndarray]:
+    """The shipped table as read-only arrays of sample sizes (ascending, as
+    floats) and their cutoffs."""
     ref = resources.files("metacausal").joinpath("data/laplace_ad_critical_values.json")
     payload = json.loads(ref.read_text(encoding="utf-8"))
-    return {int(k): float(v) for k, v in payload["critical_values"].items()}
+    rows = sorted((int(n), float(c)) for n, c in payload["critical_values"].items())
+    ns, cs = (np.array(column, dtype=float) for column in zip(*rows))
+    ns.flags.writeable = cs.flags.writeable = False
+    return ns, cs
 
 
-def load_critical_values(path: str | Path | None = None) -> dict[int, float]:
-    """Critical-value table mapping sample size to the 5%-level A^2 cutoff.
-
-    Loads the shipped calibration by default; pass ``path`` to use a
-    user-provided JSON file of the same layout.
-    """
-    if path is None:
-        return dict(_shipped_critical_values())
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {int(k): float(v) for k, v in payload["critical_values"].items()}
+def load_critical_values() -> dict[int, float]:
+    """The shipped critical-value table, mapping sample size to the 5%-level
+    A^2 cutoff."""
+    ns, cs = _shipped_critical_values()
+    return {int(n): float(c) for n, c in zip(ns, cs)}
 
 
 def calibrate_critical_values(
@@ -345,10 +339,10 @@ def calibrate_critical_values(
 ) -> dict:
     """Monte-Carlo calibration of the estimated-parameter Laplace A^2 cutoffs.
 
-    For each sample size, simulates Laplace samples, re-estimates location
-    and scale per draw exactly as :func:`anderson_darling_laplace` does, and
-    records the (1 - level) quantile of the statistic.  Returns a payload
-    dict ready to be written as the package's critical-value JSON file.
+    For each sample size, simulates Laplace samples and computes their A^2
+    with the kernel :func:`anderson_darling_laplace` uses, then records the
+    (1 - level) quantile of the statistic.  Returns a payload dict ready to
+    be written as the package's critical-value JSON file.
     """
     rng = np.random.default_rng(seed)
     table: dict[int, float] = {}
@@ -358,13 +352,7 @@ def calibrate_critical_values(
         done = 0
         while done < simulations:
             m = min(chunk, simulations - done)
-            x = sample_laplace(rng, 1.0, size=(m, n))
-            z = np.sort(x - np.median(x, axis=1, keepdims=True), axis=1)
-            b = np.maximum(B_FLOOR, np.mean(np.abs(z), axis=1, keepdims=True))
-            u = np.clip(laplace_cdf(z / b), 1e-300, 1.0 - 1e-16)
-            i = np.arange(1, n + 1)
-            s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[:, ::-1])), axis=1)
-            stats[done : done + m] = -n - s / n
+            stats[done : done + m] = ad_statistic_laplace(sample_laplace(rng, 1.0, size=(m, n)))
             done += m
         table[n] = float(np.quantile(stats, 1.0 - level))
     return {

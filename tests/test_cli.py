@@ -59,6 +59,20 @@ class TestGen:
         manifest = json.loads((tmp_path / "env.csv.manifest.json").read_text())
         assert manifest["master_seed"] == 7
 
+    def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("METACAUSAL_SEED", "abc")
+        result = run_cli(["gen", "--k", "1", "--out", "env.csv"], tmp_path)
+        assert result.returncode == 2
+        assert "METACAUSAL_SEED" in result.stderr
+        assert not (tmp_path / "env.csv").exists()
+
+    def test_bad_env_seed_ignored_under_seed_flag(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("METACAUSAL_SEED", "abc")
+        result = run_cli(["gen", "--k", "1", "--seed", "5", "--out", "env.csv"], tmp_path)
+        assert result.returncode == 0
+        manifest = json.loads((tmp_path / "env.csv.manifest.json").read_text())
+        assert manifest["master_seed"] == 5
+
 
 class TestDiscover:
     def test_end_to_end(self, tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from metacausal import discovery
-from metacausal.datagen import Dataset, Direction, MechanismParams, random_dataset
+from metacausal.datagen import Dataset, MechanismParams, random_dataset
 from metacausal.discovery import (
     DiscoveryConfig,
     dominance_filter,
@@ -40,6 +40,8 @@ class TestConfig:
             DiscoveryConfig(dominance_rule="other")
         with pytest.raises(ValueError):
             DiscoveryConfig(k_max=5)  # reference rates stop at k = 4
+        with pytest.raises(ValueError, match=r"20.*got 10"):
+            DiscoveryConfig(min_class_points=10)  # below the AD test's minimum
 
     def test_kmax_beyond_reference_rates_needs_rates_or_bound(self):
         assert DiscoveryConfig(k_max=5, resample_mode="theoretical").k_max == 5
@@ -195,12 +197,15 @@ class TestRestartFanOut:
         # Restart 2 opens the second slice of two with a NaN: in restart order
         # it never wins, and restart 3 beats restart 0.  A per-slice best
         # would keep the NaN for that slice and hand the stage to restart 0.
-        data = random_dataset(1, 0.0, seed=14, n_per_class_avg=30)
-        mechs = [(MechanismParams(float(i), 0.0, 1.0, Direction.XY),) for i in range(16)]
+        data = random_dataset(2, 0.0, seed=14, n_per_class_avg=30)
+        mechs = [
+            (MechanismParams(float(i), 0.0, 1.0), MechanismParams(-float(i), 1.0, 1.0))
+            for i in range(16)
+        ]
         scores = {0: 5.0, 2: math.nan, 3: 7.0}
         monkeypatch.setattr(discovery, "usable_cores", lambda: cores)
         monkeypatch.setattr(discovery, "_run_restarts", _CannedRestarts(mechs, scores))
-        got = lo_ransac_best(data, 1, 16, np.random.default_rng(0))
+        got = lo_ransac_best(data, 2, 16, np.random.default_rng(0))
         assert len(pools) == (cores == 2)
         assert got.mechanisms == mechs[3] and got.log_likelihood == 7.0
 
@@ -238,10 +243,14 @@ class TestRestartFanOut:
         assert done.stdout.split() == ["1"]
 
     def test_k1_sixteen_restarts_on_two_cores(self, monkeypatch, pools):
+        # A k = 1 stage stays in-process: pool slices would each run their
+        # own first usable restart.
         data = random_dataset(1, 0.1, seed=15, n_per_class_avg=100)
         monkeypatch.setattr(discovery, "usable_cores", lambda: 2)
+        calls = _count_runs(monkeypatch)
         got = lo_ransac_best(data, 1, 16, np.random.default_rng(15))
-        assert pools == [2]
+        assert pools == []
+        assert calls["n"] == 1
         assert _bits(got) == _bits(_serial_best(data, 1, 16, np.random.default_rng(15)))
 
 

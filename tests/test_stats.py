@@ -1,16 +1,20 @@
+import ast
+import importlib
 import math
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import metacausal
 from metacausal.stats import (
     B_FLOOR,
     ADTestResult,
     DegenerateFitError,
     InsufficientDataError,
-    LaplaceParams,
     ad_statistic_laplace,
     anderson_darling_laplace,
     calibrate_critical_values,
@@ -27,7 +31,7 @@ from metacausal.stats import (
 class TestLaplaceLogpdf:
     def test_unit_density_at_peak(self):
         # b = 0.5 makes the peak density 1/(2*0.5) = 1
-        assert laplace_logpdf(0.0, LaplaceParams(0.0, 0.5)) == pytest.approx(0.0)
+        assert laplace_logpdf(0.0, (0.0, 0.5)) == pytest.approx(0.0)
 
     def test_peak_value(self):
         for b in (0.1, 1.0, 3.7):
@@ -51,7 +55,7 @@ class TestLaplaceLogpdf:
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
-            LaplaceParams(0.0, 0.0)
+            laplace_logpdf(0.0, (0.0, 0.0))
         with pytest.raises(ValueError):
             laplace_logpdf(0.0, (0.0, -1.0))
 
@@ -261,6 +265,11 @@ class TestAndersonDarling:
         with pytest.raises(InsufficientDataError):
             anderson_darling_laplace(np.zeros(19))
 
+    def test_batch_rejected_with_its_shape(self):
+        with pytest.raises(ValueError, match=r"\(5, 10\)") as err:
+            anderson_darling_laplace(np.zeros((5, 10)))
+        assert not isinstance(err.value, InsufficientDataError)
+
     def test_calibrated_false_rejection_rate(self):
         rng = np.random.default_rng(99)
         rejections = sum(
@@ -300,6 +309,11 @@ class TestAndersonDarling:
         assert set(table) == {50, 100, 200, 500, 1000}
         assert all(0.5 < v < 2.0 for v in table.values())
 
+    def test_pinned_calibration(self):
+        # The cutoffs the calibration gave before it called the shared kernel.
+        payload = calibrate_critical_values(ns=(50, 200), simulations=2000, seed=5)
+        assert payload["critical_values"] == {"50": 1.013746005375752, "200": 1.0469965576147926}
+
     def test_quick_recalibration_agrees_with_shipped(self):
         payload = calibrate_critical_values(ns=(500,), simulations=3000, seed=5)
         shipped = load_critical_values()
@@ -308,14 +322,63 @@ class TestAndersonDarling:
         assert payload["meta"]["seed"] == 5
 
 
+def _ad_reference(residuals):
+    """The 1-d sorted-sum A^2 as the test computed it before the shared kernel."""
+    r = np.asarray(residuals, dtype=float)
+    z = np.sort(r - np.median(r))
+    n = len(z)
+    b = max(B_FLOOR, float(np.mean(np.abs(z))))
+    u = np.clip(laplace_cdf(z, 0.0, b), 1e-300, 1.0 - 1e-16)
+    i = np.arange(1, n + 1)
+    s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[::-1])))
+    return float(-n - s / n)
+
+
+def _ad_calibration_reference(x):
+    """The row-wise A^2 of an (m, n) batch as the calibration computed it
+    before the shared kernel."""
+    n = x.shape[1]
+    z = np.sort(x - np.median(x, axis=1, keepdims=True), axis=1)
+    b = np.maximum(B_FLOOR, np.mean(np.abs(z), axis=1, keepdims=True))
+    u = np.clip(laplace_cdf(z / b), 1e-300, 1.0 - 1e-16)
+    i = np.arange(1, n + 1)
+    s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[:, ::-1])), axis=1)
+    return -n - s / n
+
+
+class TestADKernel:
+    """One kernel gives the bits of both earlier A^2 computations."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(20, 2500),
+        rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["continuous", "ties", "offset"]),
+    )
+    def test_bits_match_both_references(self, n, rows, seed, kind):
+        rng = np.random.default_rng(seed)
+        x = sample_laplace(rng, rng.uniform(0.01, 5.0), size=(rows, n))
+        if kind == "ties":
+            x = np.round(x, 1)
+        elif kind == "offset":
+            x = x + 1e6
+        batch = ad_statistic_laplace(x)
+        assert batch.shape == (rows,)
+        assert batch.tobytes() == _ad_calibration_reference(x).tobytes()
+        for row, stat in zip(x, batch):
+            single = ad_statistic_laplace(row)
+            assert isinstance(single, float)
+            assert single == _ad_reference(row) == stat
+
+
 class TestWeightedADStatistic:
-    def test_reduces_to_classic_for_unit_weights(self):
-        rng = np.random.default_rng(11)
-        for n in (21, 100, 501):
-            r = sample_laplace(rng, 1.3, size=n)
-            assert weighted_ad_statistic_laplace(r, np.ones(n)) == pytest.approx(
-                ad_statistic_laplace(r), abs=1e-10
-            )
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 2500), seed=st.integers(0, 2**32 - 1))
+    def test_reduces_to_classic_for_unit_weights(self, n, seed):
+        rng = np.random.default_rng(seed)
+        r = sample_laplace(rng, rng.uniform(0.1, 3.0), size=n)
+        assert abs(weighted_ad_statistic_laplace(r, np.ones(n)) - ad_statistic_laplace(r)) <= 1e-11
 
     def test_duplicated_halved_weights_match(self):
         rng = np.random.default_rng(12)
@@ -389,3 +452,19 @@ def _weighted_ad_reference(residuals, weights):
     term1 = np.where(c > 0, c**2 * du_log, 0.0)
     term2 = np.where(c < 1, (1.0 - c) ** 2 * dm_log, 0.0)
     return float(total * (np.sum(term1 + term2) - 1.0))
+
+
+def test_all_names_exist_and_package_exports_are_listed():
+    """Every ``__all__`` name exists, and every name the package imports
+    from a module is in that module's ``__all__``."""
+    for info in pkgutil.walk_packages(metacausal.__path__, "metacausal."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.__all__ lists missing {name}"
+    tree = ast.parse(Path(metacausal.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"metacausal.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, f"{node.module}.__all__ lacks {alias.name}"

@@ -5,8 +5,8 @@ adjacency matrix; a meta-causal model is a finite-state machine over such
 states driven by an environment process.  This package provides:
 
 - the core formalism (states, models, state inference, reducibility checks),
-- three worked dynamical systems (pursuit game, follower attribution,
-  stress-fatigue) expressed as meta-causal models,
+- four worked dynamical systems (pursuit game, follower attribution,
+  stress-fatigue, two locks on one door) expressed as meta-causal models,
 - an unsupervised pipeline that recovers the number and parameters of
   switching linear Laplace mechanisms from bivariate data (RANSAC-restarted
   EM with weighted median regression and Anderson-Darling validation),
@@ -63,7 +63,6 @@ from .discovery import (
     validate_k,
 )
 from .em import (
-    EMConfig,
     MixtureState,
     check_convergence,
     em_step,

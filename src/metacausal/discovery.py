@@ -34,7 +34,6 @@ from . import reference_values
 from .bounds import empirical_resamples, lower_bound_success_prob, required_resamples
 from .datagen import Dataset
 from .em import (
-    EMConfig,
     MixtureState,
     draw_seed_state,
     init_from_pairs,
@@ -197,15 +196,14 @@ def _run_restarts(task) -> list[tuple[tuple, float] | None]:
     restart runs.
     """
     data, k, children = task
-    config = EMConfig.for_components(k)
     seed_free = k == 1 and not np.all(data.y == data.y[0])
     outcomes = []
     for child in children:
-        state = draw_seed_state(data, k, child, init_from_pairs)
-        if state is None:
+        init = draw_seed_state(data, k, child, init_from_pairs)
+        if init is None:
             outcomes.append(None)
             continue
-        fitted = run_em(data, state, config)
+        fitted = run_em(data, init)
         outcomes.append((fitted.mechanisms, fitted.log_likelihood))
         if seed_free:
             break
@@ -257,7 +255,6 @@ def lo_ransac_best(
 
 
 def dominance_filter(
-    data: Dataset,
     responsibilities: np.ndarray,
     class_index: int,
     margin: float = 0.4,
@@ -302,7 +299,7 @@ def validate_k(
     passed = True
     for j, mech in enumerate(state.mechanisms):
         idx = dominance_filter(
-            data, state.responsibilities, j, config.dominance_margin, config.dominance_rule
+            state.responsibilities, j, config.dominance_margin, config.dominance_rule
         )
         if len(idx) < config.min_class_points:
             results.append(None)

@@ -1,14 +1,19 @@
 """Inner EM loop for mixtures of directed linear Laplace mechanisms.
 
-One EM step re-fits every mechanism by responsibility-weighted median
-regression in both causal directions, keeps the direction whose weighted
-residuals look more Laplace (lower Anderson-Darling statistic), re-estimates
-the noise scale, and then recomputes responsibilities from the Laplace
-densities.  No mixing proportions are estimated: components enter the
-mixture with equal weight, and the model log-likelihood is the sum over
-points of the log of the mean component density.
+A restart carries bare mechanism tuples from its seed
+(:func:`init_from_pairs`) through :func:`run_em`, which builds the one
+:class:`MixtureState`.  One EM step re-fits every mechanism by
+responsibility-weighted median regression in both causal directions, keeps
+the direction whose weighted residuals look more Laplace (lower
+Anderson-Darling statistic), and re-estimates the noise scale; the run then
+recomputes responsibilities from the Laplace densities.  No mixing
+proportions are estimated: components enter the mixture with equal weight,
+and the model log-likelihood is the sum over points of the log of the mean
+component density.
 
-A run stops early at an exact fixed point: before a step that would receive
+A run of k mechanisms takes at most 5 steps for k <= 2 and 10 for k >= 3,
+and scores only its final state: that log-likelihood alone ranks restarts.
+It stops early at an exact fixed point: before a step that would receive
 the same responsibilities, bit for bit, as the step before it.  Such a step
 returns its input mechanisms, so it and every later step would repeat the
 current state (see :func:`run_em`).  With one mechanism every responsibility
@@ -33,7 +38,6 @@ from .stats import (
 )
 
 __all__ = [
-    "EMConfig",
     "MixtureState",
     "DegeneratePairError",
     "init_from_pairs",
@@ -63,22 +67,6 @@ class DegeneratePairError(ValueError):
     """A seed pair shares its x value; the caller should draw a fresh pair."""
 
 
-@dataclass(frozen=True)
-class EMConfig:
-    """Step budget for one EM run."""
-
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-
-    @classmethod
-    def for_components(cls, k: int) -> "EMConfig":
-        """5 steps for one or two components, 10 for three or four."""
-        return cls(steps=5 if k <= 2 else 10)
-
-
 @dataclass(frozen=True, eq=False)
 class MixtureState:
     """Mechanisms plus per-point responsibilities and the model log-likelihood."""
@@ -87,22 +75,19 @@ class MixtureState:
     responsibilities: np.ndarray  # (m, k), rows sum to 1
     log_likelihood: float
 
-    @property
-    def k(self) -> int:
-        return len(self.mechanisms)
 
-
-def init_from_pairs(points) -> MixtureState:
+def init_from_pairs(points) -> tuple[MechanismParams, ...]:
     """Seed k mechanisms from 2k points, one line through each consecutive pair.
 
-    Every mechanism starts with unit noise scale and the x-to-y direction.
-    Responsibilities are evaluated on the seed points themselves; callers
-    fitting a full dataset re-project via :func:`run_em`.
+    Every mechanism starts with unit noise scale and the x-to-y direction;
+    :func:`run_em` projects them onto the dataset.
 
     Raises
     ------
     DegeneratePairError
         If a pair is vertical (equal x); the caller should resample.
+    ValueError
+        If the points do not form a positive, even number of rows.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 2 or len(pts) % 2 != 0:
@@ -117,14 +102,12 @@ def init_from_pairs(points) -> MixtureState:
             raise DegeneratePairError("seed pair yields a non-finite slope")
         beta = p0[1] - alpha * p0[0]
         mechs.append(MechanismParams(float(alpha), float(beta), 1.0, Direction.XY))
-    mechs = tuple(mechs)
-    data = Dataset(pts)
-    return MixtureState(mechs, responsibilities(data, mechs), mixture_log_likelihood(data, mechs))
+    return tuple(mechs)
 
 
 def draw_seed_state(
     data: Dataset, k: int, rng: np.random.Generator, init=init_from_pairs
-) -> MixtureState | None:
+) -> tuple[MechanismParams, ...] | None:
     """Seed k mechanisms from 2k distinct random points of ``data``.
 
     Draws ``rng.choice(data.m, 2k, replace=False)`` and returns ``init`` of
@@ -220,63 +203,62 @@ def _refit_mechanism(data: Dataset, weights: np.ndarray, old: MechanismParams) -
     return MechanismParams(a_xy, b_xy, s_xy, Direction.XY)
 
 
-def em_step(data: Dataset, state: MixtureState) -> MixtureState:
-    """One M-then-E step.
+def em_step(
+    data: Dataset, mechanisms: tuple[MechanismParams, ...], resp: np.ndarray
+) -> tuple[MechanismParams, ...]:
+    """One M-step: the mechanisms re-fitted under the (m, k) responsibilities
+    ``resp``.
 
     Mechanisms whose total responsibility falls below two effective points
-    are frozen at their previous parameters for the step.
+    are frozen at their previous parameters for the step, as is a mechanism
+    whose re-fit raises :class:`DegenerateFitError`.  The caller recomputes
+    responsibilities from the result (see :func:`run_em`).
     """
-    resp = state.responsibilities
-    if resp.shape != (data.m, state.k):
+    if resp.shape != (data.m, len(mechanisms)):
         raise ValueError("responsibilities do not match the dataset")
     new_mechs = []
-    for j, old in enumerate(state.mechanisms):
+    for j, old in enumerate(mechanisms):
         w = resp[:, j]
         if float(w.sum()) < _MIN_EFFECTIVE_POINTS:
             new_mechs.append(old)
             continue
         new_mechs.append(_refit_mechanism(data, w, old))
-    new_mechs = tuple(new_mechs)
-    return MixtureState(
-        new_mechs,
-        responsibilities(data, new_mechs),
-        mixture_log_likelihood(data, new_mechs),
-    )
+    return tuple(new_mechs)
 
 
-def run_em(data: Dataset, init: MixtureState, config: EMConfig) -> MixtureState:
-    """Project the seed mechanisms onto the dataset, then apply up to
-    ``config.steps`` EM steps.
+def run_em(data: Dataset, mechanisms: tuple[MechanismParams, ...]) -> MixtureState:
+    """Project the seed mechanisms onto the dataset, apply up to the step
+    budget of EM steps, and score the result once.
+
+    The budget is 5 steps for k <= 2 mechanisms and 10 for k >= 3.  After
+    each :func:`em_step` the responsibilities are recomputed; the mixture
+    log-likelihood is computed once, for the returned state.
 
     The run stops before a step whose input responsibilities equal, bit for
     bit, those the previous step received, and the result is the one the
-    full ``config.steps`` steps give.  Mechanism j of a step's output
-    depends only on the dataset and column j of the responsibilities, except
-    through two fallbacks that return the input mechanism ``old``: a weight
-    sum below two freezes it, and a :class:`DegenerateFitError` in the re-fit
-    keeps it.  Both are decided by the dataset and the weights, and when
-    either applies the previous step, given the same weights, already
-    returned its own input unchanged.  So a step given repeated
-    responsibilities returns its input mechanisms, and with them the current
-    state bit for bit, as does every later step.  This never runs more steps
-    than stopping once a step returns its input mechanisms would: the step
-    after such a step receives repeated responsibilities.  At k = 1 every
-    responsibility is exactly 1, so the run stops after step 1.
-    Responsibilities are finite and never -0.0, so ``np.array_equal``
-    compares their bits.
+    full budget gives.  Mechanism j of a step's output depends only on the
+    dataset and column j of the responsibilities, except through two
+    fallbacks that return the input mechanism ``old``: a weight sum below
+    two freezes it, and a :class:`DegenerateFitError` in the re-fit keeps
+    it.  Both are decided by the dataset and the weights, and when either
+    applies the previous step, given the same weights, already returned its
+    own input unchanged.  So a step given repeated responsibilities returns
+    its input mechanisms, and with them the current state bit for bit, as
+    does every later step.  This never runs more steps than stopping once a
+    step returns its input mechanisms would: the step after such a step
+    receives repeated responsibilities.  At k = 1 every responsibility is
+    exactly 1, so the run stops after step 1.  Responsibilities are finite
+    and never -0.0, so ``np.array_equal`` compares their bits.
     """
-    state = MixtureState(
-        init.mechanisms,
-        responsibilities(data, init.mechanisms),
-        mixture_log_likelihood(data, init.mechanisms),
-    )
+    resp = responsibilities(data, mechanisms)
     previous = None
-    for _ in range(config.steps):
-        if previous is not None and np.array_equal(state.responsibilities, previous):
+    for _ in range(5 if len(mechanisms) <= 2 else 10):
+        if previous is not None and np.array_equal(resp, previous):
             break
-        previous = state.responsibilities
-        state = em_step(data, state)
-    return state
+        previous = resp
+        mechanisms = em_step(data, mechanisms, resp)
+        resp = responsibilities(data, mechanisms)
+    return MixtureState(mechanisms, resp, mixture_log_likelihood(data, mechanisms))
 
 
 def params_in_frame(mech: MechanismParams, direction: Direction) -> tuple[float, float]:

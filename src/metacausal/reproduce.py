@@ -26,7 +26,6 @@ from .bounds import empirical_resamples, table2_theoretical
 from .datagen import random_dataset
 from .discovery import DiscoveryConfig, map_tasks, recover_mechanism_count
 from .em import (
-    EMConfig,
     check_convergence,
     draw_seed_state,
     init_from_pairs,
@@ -78,10 +77,10 @@ def _single_restart(args) -> tuple[bool, float, float]:
     k, d, seed = args
     dataset = random_dataset(k, d, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
-    state = draw_seed_state(dataset, k, rng, init_from_pairs)
-    if state is None:
+    init = draw_seed_state(dataset, k, rng, init_from_pairs)
+    if init is None:
         return False, 0.0, 0.0
-    fitted = run_em(dataset, state, EMConfig.for_components(k))
+    fitted = run_em(dataset, init)
     truth = dataset.generator.mechanisms
     if not check_convergence(fitted.mechanisms, truth):
         return False, 0.0, 0.0

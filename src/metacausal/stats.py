@@ -270,11 +270,16 @@ def ad_statistic_laplace(residuals):
     its median, its scale estimated by maximum likelihood (the mean absolute
     deviation, floored at ``B_FLOOR``), and
     A^2 = -n - (1/n) sum_i (2i-1) [ln F(z_(i)) + ln(1-F(z_(n+1-i)))]
-    is evaluated on the sorted sample.
+    is evaluated on the sorted sample.  The median is read from the sorted
+    sample with ``np.median``'s arithmetic (the mean of the middle two for
+    even n).  A NaN residual makes the scale, and with it the statistic,
+    NaN whatever the centre.
     """
     r = np.asarray(residuals, dtype=float)
-    z = np.sort(r - np.median(r, axis=-1, keepdims=True), axis=-1)
+    z = np.sort(r, axis=-1)
     n = z.shape[-1]
+    h = n // 2
+    z = z - (z[..., h : h + 1] if n % 2 else (z[..., h - 1 : h] + z[..., h : h + 1]) / 2)
     b = np.maximum(B_FLOOR, np.mean(np.abs(z), axis=-1, keepdims=True))
     u = np.clip(laplace_cdf(z, 0.0, b), 1e-300, 1.0 - 1e-16)
     i = np.arange(1, n + 1)

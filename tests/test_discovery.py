@@ -20,7 +20,7 @@ from metacausal.discovery import (
     resamples_for,
     validate_k,
 )
-from metacausal.em import EMConfig, check_convergence, draw_seed_state, run_em
+from metacausal.em import check_convergence, draw_seed_state, run_em
 
 
 class TestConfig:
@@ -105,13 +105,12 @@ class TestLoRansacBest:
 
 def _serial_best(data, k, n_resamples, rng):
     """The restart loop as it ran before the fan-out: keep the best EM state."""
-    config = EMConfig.for_components(k)
     best = None
     for child in rng.spawn(n_resamples):
-        state = draw_seed_state(data, k, child)
-        if state is None:
+        init = draw_seed_state(data, k, child)
+        if init is None:
             continue
-        candidate = run_em(data, state, config)
+        candidate = run_em(data, init)
         if best is None or candidate.log_likelihood > best.log_likelihood:
             best = candidate
     return best
@@ -259,9 +258,9 @@ def _count_runs(monkeypatch):
     calls = {"n": 0}
     original = discovery.run_em
 
-    def counting(data, state, config):
+    def counting(data, mechanisms):
         calls["n"] += 1
-        return original(data, state, config)
+        return original(data, mechanisms)
 
     monkeypatch.setattr(discovery, "run_em", counting)
     return calls
@@ -302,33 +301,28 @@ class TestK1FirstUsableRestart:
 
 class TestDominanceFilter:
     def test_kept_point(self):
-        ds = Dataset(np.array([[0.0, 0.0]]))
         resp = np.array([[0.7, 0.3]])
-        assert list(dominance_filter(ds, resp, 0)) == [0]
+        assert list(dominance_filter(resp, 0)) == [0]
 
     def test_dropped_point(self):
-        ds = Dataset(np.array([[0.0, 0.0]]))
         resp = np.array([[0.55, 0.45]])
-        assert list(dominance_filter(ds, resp, 0)) == []
+        assert list(dominance_filter(resp, 0)) == []
 
     def test_single_class_keeps_everything(self):
-        ds = Dataset(np.random.default_rng(0).normal(size=(50, 2)))
         resp = np.ones((50, 1))
-        assert len(dominance_filter(ds, resp, 0)) == 50
+        assert len(dominance_filter(resp, 0)) == 50
 
     def test_remainder_rule(self):
-        ds = Dataset(np.array([[0.0, 0.0], [0.0, 0.0]]))
         resp = np.array([[0.8, 0.2], [0.62, 0.38]])
         # remainder rule: runner < margin * (1 - top)
-        kept = dominance_filter(ds, resp, 0, margin=0.4, rule="remainder")
+        kept = dominance_filter(resp, 0, margin=0.4, rule="remainder")
         assert list(kept) == []  # 0.2 >= 0.4*0.2 and 0.38 >= 0.4*0.38
-        kept2 = dominance_filter(ds, np.array([[0.95, 0.01]]), 0, rule="remainder")
+        kept2 = dominance_filter(np.array([[0.95, 0.01]]), 0, rule="remainder")
         assert list(kept2) == [0]
 
     def test_owner_must_match(self):
-        ds = Dataset(np.array([[0.0, 0.0]]))
         resp = np.array([[0.7, 0.3]])
-        assert list(dominance_filter(ds, resp, 1)) == []
+        assert list(dominance_filter(resp, 1)) == []
 
 
 class TestValidateK:

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from metacausal.datagen import (
 )
 from metacausal.em import (
     DegeneratePairError,
-    EMConfig,
     MixtureState,
     check_convergence,
     draw_seed_state,
@@ -38,42 +38,36 @@ def _seeded_init(dataset, k, seed):
     raise AssertionError("could not draw a non-degenerate init")
 
 
-class TestEMConfig:
-    def test_step_budgets(self):
-        assert EMConfig.for_components(1).steps == 5
-        assert EMConfig.for_components(2).steps == 5
-        assert EMConfig.for_components(3).steps == 10
-        assert EMConfig.for_components(4).steps == 10
-
-    def test_rejects_zero_steps(self):
-        with pytest.raises(ValueError):
-            EMConfig(steps=0)
+# EM steps run_em may take, by mechanism count.
+STEP_BUDGET = {1: 5, 2: 5, 3: 10, 4: 10}
 
 
 class TestInitFromPairs:
     def test_two_point_line(self):
-        state = init_from_pairs([(0, 1), (1, 3)])
-        mech = state.mechanisms[0]
-        assert (mech.alpha, mech.beta, mech.b) == (2.0, 1.0, 1.0)
-        assert mech.direction is Direction.XY
+        mechs = init_from_pairs([(0, 1), (1, 3)])
+        assert mechs == (MechanismParams(2.0, 1.0, 1.0, Direction.XY),)
 
     def test_vertical_pair_signals_resample(self):
         with pytest.raises(DegeneratePairError):
             init_from_pairs([(0, 0), (0, 1)])
 
     def test_two_pairs_two_mechanisms(self):
-        state = init_from_pairs([(0, 0), (1, 1), (0, 5), (1, 4)])
-        assert state.k == 2
-        assert state.mechanisms[0].alpha == pytest.approx(1.0)
-        assert state.mechanisms[1].alpha == pytest.approx(-1.0)
+        mechs = init_from_pairs([(0, 0), (1, 1), (0, 5), (1, 4)])
+        assert isinstance(mechs, tuple) and len(mechs) == 2
+        assert mechs[0].alpha == pytest.approx(1.0)
+        assert mechs[1].alpha == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("points", [[(0, 1)], [(0, 1), (1, 3), (2, 2)]])
+    def test_odd_point_count_rejected(self, points):
+        with pytest.raises(ValueError, match="need 2k seed points") as info:
+            init_from_pairs(points)
+        assert not isinstance(info.value, DegeneratePairError)
 
 
 class TestDrawSeedState:
     def test_same_draws_as_a_retry_loop(self):
         ds = random_dataset(3, 0.0, seed=21)
-        state = draw_seed_state(ds, 3, np.random.default_rng(4))
-        expected = _seeded_init(ds, 3, 4)
-        assert state.mechanisms == expected.mechanisms
+        assert draw_seed_state(ds, 3, np.random.default_rng(4)) == _seeded_init(ds, 3, 4)
 
     def test_redraws_degenerate_pairs(self):
         # half the points share x = 0, so some draws pair two of them
@@ -168,8 +162,7 @@ class TestEMSteps:
     def test_noiseless_line_one_step_exact(self):
         mech = MechanismParams(1.5, -0.5, B_FLOOR, Direction.XY)
         ds = generate_dataset([mech], [1.0], np.random.default_rng(3), 200)
-        init = init_from_pairs(ds.points[:2])
-        out = em_step(ds, run_em(ds, init, EMConfig(steps=1)))
+        out = run_em(ds, init_from_pairs(ds.points[:2]))
         est = out.mechanisms[0]
         alpha, beta = params_in_frame(est, Direction.XY)
         assert alpha == pytest.approx(1.5, abs=1e-6)
@@ -178,16 +171,16 @@ class TestEMSteps:
     def test_k1_single_component_monotone_loglik(self):
         ds = random_dataset(1, 0.0, seed=4)
         init = _seeded_init(ds, 1, 0)
-        state = run_em(ds, init, EMConfig(steps=1))
-        stepped = em_step(ds, state)
-        assert stepped.log_likelihood >= state.log_likelihood - 1e-9
+        state = run_em(ds, init)
+        stepped = em_step(ds, state.mechanisms, state.responsibilities)
+        assert mixture_log_likelihood(ds, stepped) >= state.log_likelihood - 1e-9
 
     def test_seeded_k2_converges_from_correct_pairs(self):
         ds = random_dataset(2, 0.0, seed=5)
         idx0 = np.flatnonzero(ds.labels == 0)[:2]
         idx1 = np.flatnonzero(ds.labels == 1)[:2]
         init = init_from_pairs(ds.points[np.concatenate([idx0, idx1])])
-        out = run_em(ds, init, EMConfig.for_components(2))
+        out = run_em(ds, init)
         assert check_convergence(out.mechanisms, ds.generator.mechanisms)
 
     def test_starved_mechanism_frozen(self):
@@ -198,17 +191,25 @@ class TestEMSteps:
         )
         resp = responsibilities(ds, mechs)
         assert resp[:, 1].sum() < 2.0
-        state = MixtureState(mechs, resp, mixture_log_likelihood(ds, mechs))
-        out = em_step(ds, state)
-        assert out.mechanisms[1] == mechs[1]
+        assert em_step(ds, mechs, resp)[1] == mechs[1]
+
+    def test_responsibility_shape_checked(self):
+        ds = random_dataset(2, 0.0, seed=5)
+        mechs = ds.generator.mechanisms
+        with pytest.raises(ValueError, match="do not match"):
+            em_step(ds, mechs, responsibilities(ds, mechs[:1]))
 
 
-def _hand_run(ds, init, steps):
-    """The projected seed state followed by ``steps`` hand-applied em_step calls."""
-    mechs = init.mechanisms
-    states = [MixtureState(mechs, responsibilities(ds, mechs), mixture_log_likelihood(ds, mechs))]
+def _hand_run(ds, mechs, steps):
+    """The projected seed state followed by ``steps`` hand-applied em_step
+    calls, each state with its responsibilities and log-likelihood."""
+
+    def state(mechs):
+        return MixtureState(mechs, responsibilities(ds, mechs), mixture_log_likelihood(ds, mechs))
+
+    states = [state(mechs)]
     for _ in range(steps):
-        states.append(em_step(ds, states[-1]))
+        states.append(state(em_step(ds, states[-1].mechanisms, states[-1].responsibilities)))
     return states
 
 
@@ -225,32 +226,33 @@ def _count_steps(monkeypatch):
     calls = {"n": 0}
     original = em_mod.em_step
 
-    def counting(data, state):
+    def counting(data, mechanisms, resp):
         calls["n"] += 1
-        return original(data, state)
+        return original(data, mechanisms, resp)
 
     monkeypatch.setattr(em_mod, "em_step", counting)
     return calls
 
 
-def _steps_against_full_budget(monkeypatch, ds, init, config):
-    """Check that run_em gives the bits of ``config.steps`` hand-applied steps,
-    in no more steps than stopping once a step returns its input mechanisms,
-    and return the steps it ran."""
-    states = _hand_run(ds, init, config.steps)
+def _steps_against_full_budget(monkeypatch, ds, init):
+    """Check that run_em gives the bits of its full step budget applied by
+    hand, in no more steps than stopping once a step returns its input
+    mechanisms, and return the steps it ran."""
+    steps = STEP_BUDGET[len(init)]
+    states = _hand_run(ds, init, steps)
     mechs = [_bits(s)[0] for s in states]
-    repeat = (t for t in range(1, config.steps + 1) if mechs[t] == mechs[t - 1])
+    repeat = (t for t in range(1, steps + 1) if mechs[t] == mechs[t - 1])
     calls = _count_steps(monkeypatch)
-    out = run_em(ds, init, config)
+    out = run_em(ds, init)
     assert _bits(out) == _bits(states[-1])
-    assert calls["n"] <= next(repeat, config.steps)
+    assert calls["n"] <= next(repeat, steps)
     return calls["n"]
 
 
 class TestRunEM:
     def test_k1_loglik_identity(self):
         ds = random_dataset(1, 0.0, seed=6)
-        out = run_em(ds, _seeded_init(ds, 1, 1), EMConfig.for_components(1))
+        out = run_em(ds, _seeded_init(ds, 1, 1))
         mech = out.mechanisms[0]
         res = mech.residuals(ds.x, ds.y)
         direct = float(np.sum(-np.log(2 * mech.b) - np.abs(res) / mech.b))
@@ -271,43 +273,72 @@ class TestRunEM:
         # responsibilities step 1 received, and the run ends after step 1.
         ds = random_dataset(1, 0.0, seed=7)
         init = _seeded_init(ds, 1, 2)
-        expected = _hand_run(ds, init, 3)[-1]
+        expected = _hand_run(ds, init, STEP_BUDGET[1])[-1]
         calls = _count_steps(monkeypatch)
-        out = run_em(ds, init, EMConfig(steps=3))
+        out = run_em(ds, init)
         assert calls["n"] == 1
         assert _bits(out) == _bits(expected)
 
     def test_k2_runs_every_step(self, monkeypatch):
         ds = random_dataset(2, 0.0, seed=9)
         init = _seeded_init(ds, 2, 4)
-        config = EMConfig.for_components(2)
-        states = _hand_run(ds, init, config.steps)
+        states = _hand_run(ds, init, STEP_BUDGET[2])
         for before, after in zip(states, states[1:]):
             assert _bits(after)[0] != _bits(before)[0]
         calls = _count_steps(monkeypatch)
-        out = run_em(ds, init, config)
-        assert calls["n"] == config.steps
+        out = run_em(ds, init)
+        assert calls["n"] == STEP_BUDGET[2]
         assert _bits(out) == _bits(states[-1])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_equals_the_full_step_budget(self, monkeypatch, k, seed):
         ds = random_dataset(k, 0.1, seed=60 + seed, n_per_class_avg=100)
-        config = EMConfig.for_components(k)
-        steps = _steps_against_full_budget(monkeypatch, ds, _seeded_init(ds, k, seed), config)
+        steps = _steps_against_full_budget(monkeypatch, ds, _seeded_init(ds, k, seed))
         if k == 1:
             assert steps == 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_step_budget_by_k(self, monkeypatch, k):
+        # A stand-in step that always moves the lines never reaches a fixed point.
+        import metacausal.em as em_mod
+
+        calls = {"n": 0}
+
+        def moving_step(data, mechanisms, resp):
+            calls["n"] += 1
+            return tuple(replace(m, alpha=m.alpha + 0.01) for m in mechanisms)
+
+        monkeypatch.setattr(em_mod, "em_step", moving_step)
+        ds = random_dataset(k, 0.0, seed=70 + k, n_per_class_avg=50)
+        run_em(ds, _seeded_init(ds, k, 0))
+        assert calls["n"] == STEP_BUDGET[k]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_scores_once(self, monkeypatch, k):
+        import metacausal.em as em_mod
+
+        scored = []
+        original = em_mod.mixture_log_likelihood
+
+        def counting(data, mechs):
+            scored.append(mechs)
+            return original(data, mechs)
+
+        monkeypatch.setattr(em_mod, "mixture_log_likelihood", counting)
+        ds = random_dataset(k, 0.1, seed=80 + k, n_per_class_avg=100)
+        out = run_em(ds, _seeded_init(ds, k, 1))
+        assert scored == [out.mechanisms]
 
     def test_frozen_mechanism_stops_at_the_fixed_point(self, monkeypatch):
         # The far mechanism stays frozen, and the line's refit repeats from step 2.
         ds = Dataset(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
         mechs = (MechanismParams(1.0, 0.0, 0.5), MechanismParams(-7.0, 50.0, 0.5))
-        init = MixtureState(mechs, responsibilities(ds, mechs), mixture_log_likelihood(ds, mechs))
-        assert _steps_against_full_budget(monkeypatch, ds, init, EMConfig(steps=5)) == 2
+        assert _steps_against_full_budget(monkeypatch, ds, mechs) == 2
 
     def test_k1_matches_direct_l1_fit(self):
         ds = random_dataset(1, 0.0, seed=8)
-        out = run_em(ds, _seeded_init(ds, 1, 3), EMConfig.for_components(1))
+        out = run_em(ds, _seeded_init(ds, 1, 3))
         est = out.mechanisms[0]
         if est.direction is Direction.XY:
             alpha, beta = l1_fit(ds.x, ds.y)
@@ -319,8 +350,8 @@ class TestRunEM:
     def test_deterministic(self):
         ds = random_dataset(2, 0.0, seed=9)
         init = _seeded_init(ds, 2, 4)
-        a = run_em(ds, init, EMConfig.for_components(2))
-        b = run_em(ds, init, EMConfig.for_components(2))
+        a = run_em(ds, init)
+        b = run_em(ds, init)
         assert a.log_likelihood == b.log_likelihood
         assert a.mechanisms == b.mechanisms
 

@@ -82,7 +82,6 @@ from .stats import (
     l1_fit,
     laplace_cdf,
     laplace_logpdf,
-    load_critical_values,
     sample_laplace,
 )
 

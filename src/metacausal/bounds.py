@@ -90,7 +90,10 @@ def lower_bound_success_prob(n: int, d: float) -> float:
 def required_resamples(p: float, confidence: float = 0.95) -> int:
     """Restarts needed for >= ``confidence`` chance of at least one success.
 
-    Solves (1-p)**k <= 1-confidence for the smallest integer k.
+    Solves (1-p)**k <= 1-confidence for the smallest integer k.  The
+    denominator is ``log1p(-p)``, which stays nonzero for a ``p`` too small
+    to change ``1 - p``; a ``p`` so small that k overflows a float raises
+    ValueError.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"success probability must lie in (0, 1], got {p}")
@@ -98,7 +101,10 @@ def required_resamples(p: float, confidence: float = 0.95) -> int:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     if p == 1.0:
         return 1
-    return math.ceil(math.log(1.0 - confidence) / math.log(1.0 - p))
+    count = math.log(1.0 - confidence) / math.log1p(-p)
+    if count == math.inf:
+        raise ValueError(f"success probability {p} needs more restarts than a float holds")
+    return math.ceil(count)
 
 
 def empirical_resamples(convergence_rate: float, confidence: float = 0.95) -> int:

@@ -111,22 +111,12 @@ def _write_manifest(out: Path, command: str, config: dict, artifacts: list[str],
     return path
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        path.write_text("", encoding="utf-8")
-        return
-    with path.open("w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
+def _write_csv(rows: list[dict], stream) -> None:
+    """Write ``rows`` to ``stream`` as CSV with a header; no rows write nothing."""
+    if rows:
+        writer = csv.DictWriter(stream, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-
-
-def _print_csv(rows: list[dict]) -> None:
-    if not rows:
-        return
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
 
 
 def cmd_gen(args) -> int:
@@ -211,17 +201,22 @@ def cmd_bounds(args) -> int:
         for n in range(1, args.n_max + 1):
             p_exp = expected_success_prob(n)
             p_low = lower_bound_success_prob(n, d)
+            try:
+                budgets = [required_resamples(p, args.confidence) for p in (p_exp, p_low)]
+            except ValueError as exc:
+                message = f"--n-max must be at most {n - 1} here: at n = {n}, d = {d}, {exc}"
+                raise SystemExit(_usage(message)) from exc
             rows.append(
                 {
                     "d": d,
                     "n": n,
                     "expected_prob": p_exp,
                     "lower_bound_prob": p_low,
-                    "resamples_expected": required_resamples(p_exp, args.confidence),
-                    "resamples_lower_bound": required_resamples(p_low, args.confidence),
+                    "resamples_expected": budgets[0],
+                    "resamples_lower_bound": budgets[1],
                 }
             )
-    _print_csv(rows)
+    _write_csv(rows, sys.stdout)
     return EXIT_OK
 
 
@@ -237,7 +232,8 @@ def cmd_reproduce(args) -> int:
     }[args.table]()
     if args.out:
         out = Path(args.out)
-        _write_csv(out, rows)
+        with out.open("w", newline="", encoding="utf-8") as f:
+            _write_csv(rows, f)
         _write_manifest(
             out,
             f"reproduce {args.table}",
@@ -247,7 +243,7 @@ def cmd_reproduce(args) -> int:
         )
         print(f"wrote {out}")
     else:
-        _print_csv(rows)
+        _write_csv(rows, sys.stdout)
     return EXIT_OK
 
 
@@ -259,9 +255,12 @@ def _simulate_stress(args, rng) -> list[dict]:
                 if not row or row[0].strip().lower() == "ext":
                     continue
                 try:
-                    schedule.append(float(row[0]))
+                    ext = float(row[0])
                 except ValueError as exc:
                     raise CsvFormatError(str(exc), rownum) from exc
+                if not 0.0 <= ext <= 1.0:  # also rejects nan
+                    raise CsvFormatError(f"ext must be a number in [0, 1], got {row[0]!r}", rownum)
+                schedule.append(ext)
     state = stress.StressState(s=args.s0)
     rows = []
     for t in range(args.steps):
@@ -360,7 +359,8 @@ def cmd_simulate(args) -> int:
     rows = _SIMULATORS[args.system](args, np.random.default_rng(args.seed))
     if args.out:
         out = Path(args.out)
-        _write_csv(out, rows)
+        with out.open("w", newline="", encoding="utf-8") as f:
+            _write_csv(rows, f)
         _write_manifest(
             out,
             f"simulate {args.system}",
@@ -370,7 +370,7 @@ def cmd_simulate(args) -> int:
         )
         print(f"wrote {out} ({len(rows)} rows)")
     else:
-        _print_csv(rows)
+        _write_csv(rows, sys.stdout)
     return EXIT_OK
 
 

@@ -9,6 +9,20 @@ whose mechanisms all pass is returned; if none passes, no decision is made
 (k_hat = 0).  The restart budget per k comes from either the worst-case
 bound or an empirically measured convergence rate.
 
+Three settings of the published pipeline are fixed, not configured:
+
+- the restart budget is the RANSAC trial count (Fischler & Bolles 1981) at
+  95% confidence, the level of the published budget tables, and the
+  empirical mode reads the published single-restart convergence rates
+  (``reference_values.EM_CONVERGENCE_RATES``);
+- a point is owned by a mechanism when its runner-up responsibility stays
+  below a margin set by ``DOMINANCE_MARGIN`` = 0.4 (see
+  :func:`dominance_filter`): at k = 2 the "relative" rule then keeps points
+  whose top responsibility exceeds 0.625, so points near a crossing of two
+  lines, whose residuals belong to neither, stay out of the test;
+- a mechanism needs ``stats.AD_MIN_POINTS`` dominant points, the smallest
+  sample the Anderson-Darling test accepts.
+
 A candidate k's restarts are independent trials, each with its own spawned
 random stream, so a stage of k >= 2 with at least four restarts per worker
 fans them out over a process pool of up to the usable cores (the process's
@@ -26,7 +40,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Mapping
 
 import numpy as np
 
@@ -59,6 +72,9 @@ __all__ = [
 # 45-50 ms.
 _MIN_RESTARTS_PER_WORKER = 4
 
+# Runner-up margin of the dominance filter (see :func:`dominance_filter`).
+DOMINANCE_MARGIN = 0.4
+
 # Tasks per worker of a fanned-out stage.  Restart costs vary, so several
 # tasks per worker even out the load; each task carries the dataset once.
 _TASKS_PER_WORKER = 4
@@ -66,51 +82,36 @@ _TASKS_PER_WORKER = 4
 
 @dataclass(frozen=True)
 class DiscoveryConfig:
-    """Knobs of the mechanism-count recovery pipeline.
+    """Settings of the mechanism-count recovery pipeline that callers set.
 
     ``resample_mode`` selects the restart budget: "theoretical" uses the
-    worst-case bound at ``max_class_dev``; "empirical" uses measured
-    single-restart convergence rates (``empirical_rates`` mapping k to a
-    rate, defaulting to the published reference rates at the nearest
-    tabulated deviation).  ``dominance_rule`` picks the point filter:
-    "relative" keeps points whose runner-up responsibility is below
-    (1 - margin) times the top one; "remainder" requires the runner-up to
-    stay below margin times (1 - top).  ``min_class_points`` may not fall
-    below the Anderson-Darling test's minimum sample, ``AD_MIN_POINTS``.
+    worst-case bound at ``max_class_dev``; "empirical" uses the published
+    single-restart convergence rates at the nearest tabulated deviation,
+    which stop at k = 4.  ``dominance_rule`` picks the point filter (see
+    :func:`dominance_filter`).  The budget's 95% confidence, the dominance
+    margin and the per-mechanism minimum sample are fixed; the module
+    docstring gives each one's reason.
     """
 
     k_max: int = 4
-    confidence: float = 0.95
     max_class_dev: float = 0.0
     resample_mode: str = "empirical"
-    empirical_rates: Mapping[int, float] | None = None
-    dominance_margin: float = 0.4
-    min_class_points: int = 20
     master_seed: int = 0
     dominance_rule: str = "relative"
 
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-        if not 0.0 < self.dominance_margin < 1.0:
-            raise ValueError(
-                f"dominance margin must lie in (0, 1), got {self.dominance_margin}"
-            )
         if self.resample_mode not in ("theoretical", "empirical"):
             raise ValueError(f"unknown resample mode {self.resample_mode!r}")
         top = max(reference_values.MECHANISM_COUNTS)
-        if self.resample_mode == "empirical" and self.empirical_rates is None and self.k_max > top:
+        if self.resample_mode == "empirical" and self.k_max > top:
             raise ValueError(
                 f"reference rates stop at k = {top}, got k_max = {self.k_max}; "
-                "give empirical rates or use the theoretical mode"
+                "use the theoretical mode"
             )
         if self.dominance_rule not in ("relative", "remainder"):
             raise ValueError(f"unknown dominance rule {self.dominance_rule!r}")
-        if self.min_class_points < AD_MIN_POINTS:
-            raise ValueError(
-                f"min_class_points must be >= {AD_MIN_POINTS}, the Anderson-Darling "
-                f"test's minimum sample, got {self.min_class_points}"
-            )
 
 
 @dataclass(frozen=True)
@@ -145,13 +146,9 @@ def resamples_for(k: int, config: DiscoveryConfig) -> int:
         p = lower_bound_success_prob(k, config.max_class_dev)
         if p <= 0:
             raise ValueError("class deviation leaves no valid restart probability")
-        return required_resamples(p, config.confidence)
-    if config.empirical_rates is not None:
-        rate = config.empirical_rates[k]
-    else:
-        d = reference_values.nearest_deviation(config.max_class_dev)
-        rate = reference_values.EM_CONVERGENCE_RATES[d][k - 1]
-    return empirical_resamples(rate, config.confidence)
+        return required_resamples(p)
+    d = reference_values.nearest_deviation(config.max_class_dev)
+    return empirical_resamples(reference_values.EM_CONVERGENCE_RATES[d][k - 1])
 
 
 def usable_cores() -> int:
@@ -255,18 +252,16 @@ def lo_ransac_best(
 
 
 def dominance_filter(
-    responsibilities: np.ndarray,
-    class_index: int,
-    margin: float = 0.4,
-    rule: str = "relative",
+    responsibilities: np.ndarray, class_index: int, rule: str = "relative"
 ) -> np.ndarray:
     """Indices of points clearly owned by ``class_index``.
 
     A point belongs to the class when it is the argmax of the point's
     responsibilities and the runner-up responsibility is small enough:
     below (1 - margin) * top for the "relative" rule, below
-    margin * (1 - top) for the "remainder" variant.  With a single class
-    every point is kept (the runner-up is defined as 0).
+    margin * (1 - top) for the "remainder" variant, with the margin
+    ``DOMINANCE_MARGIN``.  With a single class every point is kept (the
+    runner-up is defined as 0).
     """
     resp = np.asarray(responsibilities, dtype=float)
     owner = resp.argmax(axis=1)
@@ -277,9 +272,9 @@ def dominance_filter(
         part = np.partition(resp, -2, axis=1)
         runner = part[:, -2]
     if rule == "relative":
-        clear = runner < (1.0 - margin) * top
+        clear = runner < (1.0 - DOMINANCE_MARGIN) * top
     elif rule == "remainder":
-        clear = runner < margin * (1.0 - top)
+        clear = runner < DOMINANCE_MARGIN * (1.0 - top)
     else:
         raise ValueError(f"unknown dominance rule {rule!r}")
     return np.flatnonzero((owner == class_index) & clear)
@@ -290,18 +285,16 @@ def validate_k(
 ) -> tuple[bool, tuple[ADTestResult | None, ...]]:
     """Residual validation of a fitted mixture.
 
-    Every mechanism must keep at least ``min_class_points`` dominance-
-    filtered points and their residuals (in the mechanism's own direction)
+    Every mechanism must keep at least ``AD_MIN_POINTS`` dominance-filtered
+    points and their residuals (in the mechanism's own direction)
     must pass the Laplace Anderson-Darling test.  Mechanisms skipped for
     lack of points report ``None`` in the per-mechanism results.
     """
     results: list[ADTestResult | None] = []
     passed = True
     for j, mech in enumerate(state.mechanisms):
-        idx = dominance_filter(
-            state.responsibilities, j, config.dominance_margin, config.dominance_rule
-        )
-        if len(idx) < config.min_class_points:
+        idx = dominance_filter(state.responsibilities, j, config.dominance_rule)
+        if len(idx) < AD_MIN_POINTS:
             results.append(None)
             passed = False
             continue
@@ -317,12 +310,15 @@ def recover_mechanism_count(data: Dataset, config: DiscoveryConfig) -> Discovery
 
     Runs the restart-budgeted RANSAC/EM for k = 1..k_max in order and
     returns the first k whose mechanisms all pass residual validation;
-    k_hat = 0 (no decision) when none does.  Fully deterministic given the
-    dataset and ``config.master_seed``.
+    k_hat = 0 (no decision) when none does, and with empty diagnostics when
+    all x values are equal, since no seed pair could then span a line.
+    Fully deterministic given the dataset and ``config.master_seed``.
     """
     if data.m == 0:
         raise ValueError("dataset is empty")
     per_k: dict[int, KDiagnostics] = {}
+    if np.all(data.x == data.x[0]):
+        return DiscoveryResult(0, per_k)
     for k in range(1, config.k_max + 1):
         if data.m < 2 * k:
             break

@@ -274,9 +274,10 @@ def params_in_frame(mech: MechanismParams, direction: Direction) -> tuple[float,
     return 1.0 / mech.alpha, -mech.beta / mech.alpha
 
 
-def _feasible_assignments(est, truth, tol: float, require_direction: bool):
+def _feasible_assignments(est, truth):
     """Yield the per-estimate slope and intercept errors of every one-to-one
-    assignment within ``tol``, in permutation order; none on a length mismatch."""
+    assignment within ``CONVERGENCE_TOL``, in permutation order; none on a
+    length mismatch."""
     est, truth = tuple(est), tuple(truth)
     if len(est) != len(truth):
         return
@@ -284,37 +285,34 @@ def _feasible_assignments(est, truth, tol: float, require_direction: bool):
     slope, intercept = np.full((k, k), math.inf), np.full((k, k), math.inf)
     for i, e in enumerate(est):
         for j, t in enumerate(truth):
-            if not require_direction or e.direction is t.direction:
-                alpha, beta = params_in_frame(e, t.direction)
-                slope[i, j], intercept[i, j] = abs(alpha - t.alpha), abs(beta - t.beta)
-    ok = (slope <= tol) & (intercept <= tol)
+            alpha, beta = params_in_frame(e, t.direction)
+            slope[i, j], intercept[i, j] = abs(alpha - t.alpha), abs(beta - t.beta)
+    ok = (slope <= CONVERGENCE_TOL) & (intercept <= CONVERGENCE_TOL)
     rows = np.arange(k)
     for perm in itertools.permutations(range(k)):
         if ok[rows, perm].all():
             yield slope[rows, perm], intercept[rows, perm]
 
 
-def check_convergence(
-    est, truth, tol: float = CONVERGENCE_TOL, require_direction: bool = False
-) -> bool:
+def check_convergence(est, truth) -> bool:
     """True when some one-to-one matching aligns every estimated mechanism
-    with a distinct true one within ``tol`` on slope and intercept.
+    with a distinct true one within ``CONVERGENCE_TOL`` on slope and intercept.
 
     Each estimate is compared as a line, re-expressed in the matched true
     mechanism's own direction frame; the fitted direction label is close to
     a coin flip wherever the effect noise is small relative to the spread,
-    so it does not count against convergence unless ``require_direction``
-    is set.  A length mismatch returns False.
+    so it does not count against convergence.  A length mismatch returns
+    False.
     """
-    return next(_feasible_assignments(est, truth, tol, require_direction), None) is not None
+    return next(_feasible_assignments(est, truth), None) is not None
 
 
 def matched_errors(est, truth) -> tuple[float, float] | None:
     """Mean absolute slope and intercept errors of the matching with the lowest
-    total among those :func:`check_convergence` accepts by default (the earliest
+    total among those :func:`check_convergence` accepts (the earliest
     permutation on a tie), or None if it accepts none."""
     best: tuple[float, float] | None = None
-    for slope, intercept in _feasible_assignments(est, truth, CONVERGENCE_TOL, False):
+    for slope, intercept in _feasible_assignments(est, truth):
         errors = (float(np.mean(slope)), float(np.mean(intercept)))
         if best is None or sum(errors) < sum(best):
             best = errors

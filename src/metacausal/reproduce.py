@@ -133,24 +133,19 @@ def measure_convergence_cell(
 
 
 def _discover_dataset(args) -> int:
-    k, d, seed, config_kwargs = args
+    k, d, seed = args
     dataset = random_dataset(k, d, seed=seed)
-    config = DiscoveryConfig(max_class_dev=d, master_seed=seed, **config_kwargs)
+    config = DiscoveryConfig(max_class_dev=d, master_seed=seed)
     return recover_mechanism_count(dataset, config).k_hat
 
 
 def confusion_row(
-    k: int,
-    d: float,
-    master_seed: int = 0,
-    scale: float = 1.0,
-    workers: int = 1,
-    **config_kwargs,
+    k: int, d: float, master_seed: int = 0, scale: float = 1.0, workers: int = 1
 ) -> Counter:
     """Recovered-count tally over ``round(100 * scale)`` datasets."""
     n_datasets = max(1, round(_DATASETS_FULL_SCALE * _checked_scale(scale)))
     seeds = _task_seeds(master_seed, k, d, n_datasets)
-    tasks = [(k, d, s, config_kwargs) for s in seeds]
+    tasks = [(k, d, s) for s in seeds]
     return Counter(map_tasks(_discover_dataset, tasks, workers, chunksize=1))
 
 
@@ -160,14 +155,11 @@ def table1_rows(
     workers: int = 1,
     only_k: int | None = None,
     only_d: float | None = None,
-    **config_kwargs,
 ) -> list[dict]:
     """Confusion-matrix rows with the published reference counts alongside."""
     rows = []
     for d, k in _cells(only_k, only_d):
-        tally = confusion_row(
-            k, d, master_seed=master_seed, scale=scale, workers=workers, **config_kwargs
-        )
+        tally = confusion_row(k, d, master_seed=master_seed, scale=scale, workers=workers)
         total = sum(tally.values())
         row = {"d": d, "true_k": k, "datasets": total}
         for col, label in ((0, "none"), (1, "k1"), (2, "k2"), (3, "k3"), (4, "k4")):
@@ -177,9 +169,9 @@ def table1_rows(
     return rows
 
 
-def table2_rows(confidence: float = 0.95) -> list[dict]:
+def table2_rows() -> list[dict]:
     """Theoretical resample counts plus both published reference columns."""
-    theo = table2_theoretical(ref.DEVIATIONS, n_max=4, confidence=confidence)
+    theo = table2_theoretical(ref.DEVIATIONS)
     rows = []
     for i, d in enumerate(ref.DEVIATIONS):
         for j, k in enumerate(ref.MECHANISM_COUNTS):

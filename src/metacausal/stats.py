@@ -45,7 +45,6 @@ __all__ = [
     "anderson_darling_laplace",
     "ad_statistic_laplace",
     "weighted_ad_statistic_laplace",
-    "load_critical_values",
     "calibrate_critical_values",
 ]
 
@@ -327,13 +326,6 @@ def _shipped_critical_values() -> tuple[np.ndarray, np.ndarray]:
     ns, cs = (np.array(column, dtype=float) for column in zip(*rows))
     ns.flags.writeable = cs.flags.writeable = False
     return ns, cs
-
-
-def load_critical_values() -> dict[int, float]:
-    """The shipped critical-value table, mapping sample size to the 5%-level
-    A^2 cutoff."""
-    ns, cs = _shipped_critical_values()
-    return {int(n): float(c) for n, c in zip(ns, cs)}
 
 
 def calibrate_critical_values(

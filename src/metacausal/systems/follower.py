@@ -171,7 +171,7 @@ def _candidates(observations: tuple) -> frozenset[MetaCausalState]:
     return frozenset({EDGE_PRESENT_STATE if present else EDGE_ABSENT_STATE})
 
 
-def follower_model(policy: Policy = Policy.FOLLOWING) -> MetaCausalModel:
+def follower_model() -> MetaCausalModel:
     """The follower scenario packaged as a meta-causal model."""
     return MetaCausalModel(
         n=2,

@@ -70,6 +70,13 @@ def test_required_resamples_monotone_in_p():
     assert all(a >= b for a, b in zip(ks, ks[1:]))
 
 
+def test_required_resamples_below_float_resolution_of_one_minus_p():
+    # 1 - 1e-17 rounds to 1.0, and log1p keeps the denominator nonzero.
+    assert required_resamples(1e-17) == pytest.approx(-math.log(0.05) / 1e-17, rel=1e-12)
+    with pytest.raises(ValueError, match="restarts"):
+        required_resamples(5e-324)
+
+
 def test_required_resamples_rejects_nonpositive_p():
     with pytest.raises(ValueError):
         required_resamples(0.0)

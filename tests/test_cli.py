@@ -144,6 +144,14 @@ class TestDiscover:
         assert exit_info.value.code == 2
         assert not (tmp_path / "r.json").exists()
 
+    def test_constant_x_gets_no_decision(self, tmp_path):
+        # Every seed pair would be vertical, so no restart could run.
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n" + "".join(f"1.5,{0.37 * i % 5}\n" for i in range(60)))
+        assert main(["discover", "--data", str(data), "--out", str(tmp_path / "r.json")]) == 0
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert (payload["k_hat"], payload["per_k"]) == (0, {})
+
 
 class TestManifestGitSha:
     SHA = "0123456789abcdef0123456789abcdef01234567"
@@ -190,6 +198,18 @@ class TestBounds:
         # d=0 row: resample counts 1, 23, 363, 8179
         d0 = [r for r in rows if r[0] == "0.0"]
         assert [int(r[5]) for r in d0] == [1, 23, 363, 8179]
+
+    def test_tiny_probabilities(self, capsys):
+        # At n = 12 the probabilities no longer change 1 - p.
+        assert main(["bounds", "--n-max", "40"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 3 * 40
+        # From n = 123 at d = 0 the restart count overflows a float; from n = 125
+        # at d = 0.2 the probability underflows to 0.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bounds", "--n-max", "200"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--n-max" in captured.err and not captured.out
 
     def test_deviation_one_rejected(self):
         with pytest.raises(SystemExit):
@@ -353,6 +373,14 @@ class TestSimulate:
         lines = out.read_text().strip().splitlines()
         last = dict(zip(lines[0].split(","), lines[-1].split(",")))
         assert last["self_type"] == "+1"  # external stressors flipped the mode
+
+    @pytest.mark.parametrize("value", ["2.0", "-0.5", "nan", "inf"])
+    def test_out_of_range_ext_schedule_names_row(self, tmp_path, capsys, value):
+        sched = tmp_path / "ext.csv"
+        sched.write_text(f"ext\n0.5\n{value}\n")
+        code = main(["simulate", "--system", "stress", "--steps", "4", "--ext-schedule", str(sched)])
+        assert code == 3
+        assert "row 3" in capsys.readouterr().err
 
     def test_tag_trace_flips_match_tag_events(self, tmp_path):
         out = tmp_path / "tag.csv"

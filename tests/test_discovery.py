@@ -16,6 +16,7 @@ from metacausal.discovery import (
     DiscoveryConfig,
     dominance_filter,
     lo_ransac_best,
+    map_tasks,
     recover_mechanism_count,
     resamples_for,
     validate_k,
@@ -33,19 +34,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             DiscoveryConfig(k_max=0)
         with pytest.raises(ValueError):
-            DiscoveryConfig(dominance_margin=1.0)
-        with pytest.raises(ValueError):
             DiscoveryConfig(resample_mode="magic")
         with pytest.raises(ValueError):
             DiscoveryConfig(dominance_rule="other")
         with pytest.raises(ValueError):
             DiscoveryConfig(k_max=5)  # reference rates stop at k = 4
-        with pytest.raises(ValueError, match=r"20.*got 10"):
-            DiscoveryConfig(min_class_points=10)  # below the AD test's minimum
 
     def test_kmax_beyond_reference_rates_needs_rates_or_bound(self):
         assert DiscoveryConfig(k_max=5, resample_mode="theoretical").k_max == 5
-        assert DiscoveryConfig(k_max=5, empirical_rates={k: 0.5 for k in range(1, 6)}).k_max == 5
+        with pytest.raises(ValueError, match="use the theoretical mode"):
+            DiscoveryConfig(k_max=5)
 
 
 class TestResampleBudgets:
@@ -58,10 +56,6 @@ class TestResampleBudgets:
     def test_empirical_budgets_from_reference_rates(self):
         cfg = DiscoveryConfig(resample_mode="empirical", max_class_dev=0.0)
         assert [resamples_for(k, cfg) for k in (1, 2, 3, 4)] == [2, 8, 24, 173]
-
-    def test_explicit_rates_override(self):
-        cfg = DiscoveryConfig(empirical_rates={1: 0.5, 2: 0.5})
-        assert resamples_for(2, cfg) == 5  # ceil(ln 0.05 / ln 0.5)
 
 
 class TestLoRansacBest:
@@ -132,6 +126,12 @@ def _repeated_x_dataset():
     rng = np.random.default_rng(0)
     x = np.concatenate([np.zeros(100), rng.normal(size=6)])
     return Dataset(np.column_stack([x, rng.normal(size=len(x))]))
+
+
+def _discovery_bits(data):
+    """k_hat and, per candidate k, the winner's bits and the AD outcomes."""
+    res = recover_mechanism_count(data, DiscoveryConfig(k_max=2))
+    return res.k_hat, {k: (_bits(d.state), d.ad_results, d.passed) for k, d in res.per_k.items()}
 
 
 def _stage_in_child(args):
@@ -241,6 +241,15 @@ class TestRestartFanOut:
         )
         assert done.stdout.split() == ["1"]
 
+    def test_same_discovery_in_process_and_in_a_worker(self, monkeypatch, pools):
+        # In-process each dataset's k = 2 stage (8 restarts) fans out over two
+        # workers; inside a map_tasks worker it runs serially.
+        monkeypatch.setattr(discovery, "usable_cores", lambda: 2)
+        tasks = [random_dataset(2, 0.0, seed=s) for s in (20, 21)]
+        here = [_discovery_bits(data) for data in tasks]
+        assert pools.count(2) == 2
+        assert map_tasks(_discovery_bits, tasks, 2) == here
+
     def test_k1_sixteen_restarts_on_two_cores(self, monkeypatch, pools):
         # A k = 1 stage stays in-process: pool slices would each run their
         # own first usable restart.
@@ -315,7 +324,7 @@ class TestDominanceFilter:
     def test_remainder_rule(self):
         resp = np.array([[0.8, 0.2], [0.62, 0.38]])
         # remainder rule: runner < margin * (1 - top)
-        kept = dominance_filter(resp, 0, margin=0.4, rule="remainder")
+        kept = dominance_filter(resp, 0, rule="remainder")
         assert list(kept) == []  # 0.2 >= 0.4*0.2 and 0.38 >= 0.4*0.38
         kept2 = dominance_filter(np.array([[0.95, 0.01]]), 0, rule="remainder")
         assert list(kept2) == [0]
@@ -352,9 +361,9 @@ class TestValidateK:
 
     def test_starved_class_fails(self):
         ds = random_dataset(1, 0.0, seed=5)
-        cfg = DiscoveryConfig(master_seed=0, min_class_points=20)
+        cfg = DiscoveryConfig(master_seed=0)
         best = lo_ransac_best(ds, 1, 1, np.random.default_rng(1))
-        # shrink the dataset below the floor: only 10 points remain
+        # shrink the dataset below the AD test's 20 points: only 10 remain
         small = Dataset(ds.points[:10])
         from metacausal.em import MixtureState, mixture_log_likelihood, responsibilities
 
@@ -405,6 +414,14 @@ class TestRecoverMechanismCount:
         assert {
             k: d.state.log_likelihood for k, d in a.per_k.items()
         } == {k: d.state.log_likelihood for k, d in b.per_k.items()}
+
+    def test_constant_x_gets_no_decision(self):
+        y = np.random.default_rng(19).normal(size=60)
+        data = Dataset(np.column_stack([np.full(60, 1.5), y]))
+        res = recover_mechanism_count(data, DiscoveryConfig())
+        assert (res.k_hat, res.per_k) == (0, {})
+        with pytest.raises(ValueError, match="degenerate"):
+            lo_ransac_best(data, 1, 2, np.random.default_rng(0))
 
     def test_theoretical_mode_uses_bound_budgets(self):
         ds = random_dataset(1, 0.0, seed=9)

@@ -379,7 +379,6 @@ class TestCheckConvergence:
         truth = (MechanismParams(4.0, 2.0, 1.0, Direction.XY),)
         est = (MechanismParams(0.25, -0.5, 0.25, Direction.YX),)  # the inverse line
         assert check_convergence(est, truth)
-        assert not check_convergence(est, truth, require_direction=True)
 
     def test_distinct_assignment_required(self):
         # two estimates matching the same true mechanism must not both count

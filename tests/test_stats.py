@@ -16,6 +16,7 @@ from metacausal.stats import (
     ADTestResult,
     DegenerateFitError,
     InsufficientDataError,
+    _shipped_critical_values,
     ad_statistic_laplace,
     anderson_darling_laplace,
     calibrate_critical_values,
@@ -23,7 +24,6 @@ from metacausal.stats import (
     l1_fit,
     laplace_cdf,
     laplace_logpdf,
-    load_critical_values,
     sample_laplace,
     weighted_ad_statistic_laplace,
 )
@@ -306,9 +306,9 @@ class TestAndersonDarling:
         assert res.n == 300
 
     def test_critical_values_table_shape(self):
-        table = load_critical_values()
-        assert set(table) == {50, 100, 200, 500, 1000}
-        assert all(0.5 < v < 2.0 for v in table.values())
+        ns, cs = _shipped_critical_values()
+        assert list(ns) == [50, 100, 200, 500, 1000]
+        assert all(0.5 < c < 2.0 for c in cs)
 
     def test_pinned_calibration(self):
         # The cutoffs the calibration gave before it called the shared kernel.
@@ -317,7 +317,7 @@ class TestAndersonDarling:
 
     def test_quick_recalibration_agrees_with_shipped(self):
         payload = calibrate_critical_values(ns=(500,), simulations=3000, seed=5)
-        shipped = load_critical_values()
+        shipped = dict(zip(*_shipped_critical_values()))
         assert payload["critical_values"]["500"] == pytest.approx(shipped[500], abs=0.1)
         assert payload["meta"]["simulations"] == 3000
         assert payload["meta"]["seed"] == 5

@@ -47,6 +47,7 @@ from . import reference_values
 from .bounds import empirical_resamples, lower_bound_success_prob, required_resamples
 from .datagen import Dataset
 from .em import (
+    DegeneratePairError,
     MixtureState,
     draw_seed_state,
     init_from_pairs,
@@ -69,7 +70,7 @@ __all__ = [
 # A stage fans out only with at least this many restarts per worker process:
 # on a 2-core Xeon, starting a pool of two workers costs 8-10 ms, a k = 1
 # restart on 100 points about 0.5 ms, and a k = 4 restart on 2000 points
-# 45-50 ms.
+# 55-70 ms on one core (a 22-restart task sharing its slope-order cache).
 _MIN_RESTARTS_PER_WORKER = 4
 
 # Runner-up margin of the dominance filter (see :func:`dominance_filter`).
@@ -180,6 +181,11 @@ def _run_restarts(task) -> list[tuple[tuple, float] | None]:
     order: None when every seed draw was degenerate, else the fitted
     mechanisms and their log-likelihood.
 
+    The restarts share one slope-order cache (see :func:`em.run_em`), so an
+    anchor sorted by one restart is not sorted again by the next.  It lives
+    as long as the task and holds at most ``stats._ORDER_CACHE_BYTES`` per
+    direction.
+
     At k = 1, on a dataset whose y values hold at least two distinct values,
     the loop stops after the first restart that draws a usable seed, because
     every later one would return the same outcome (or raise, where its seed
@@ -194,13 +200,14 @@ def _run_restarts(task) -> list[tuple[tuple, float] | None]:
     """
     data, k, children = task
     seed_free = k == 1 and not np.all(data.y == data.y[0])
+    orders = ({}, {})
     outcomes = []
     for child in children:
         init = draw_seed_state(data, k, child, init_from_pairs)
         if init is None:
             outcomes.append(None)
             continue
-        fitted = run_em(data, init)
+        fitted = run_em(data, init, orders)
         outcomes.append((fitted.mechanisms, fitted.log_likelihood))
         if seed_free:
             break
@@ -231,6 +238,11 @@ def lo_ransac_best(
     the strict ``>`` it could not replace the first, also when that
     log-likelihood is NaN.  The winner is the one the full budget gives, and
     slices over a pool would each run their own first usable restart.
+
+    Raises
+    ------
+    DegeneratePairError
+        If every restart drew only degenerate seed pairs.
     """
     if n_resamples < 1:
         raise ValueError(f"need at least one restart, got {n_resamples}")
@@ -246,7 +258,7 @@ def lo_ransac_best(
         if outcome is not None and (best is None or outcome[1] > best[1]):
             best = outcome
     if best is None:
-        raise ValueError("every restart drew degenerate seed pairs")
+        raise DegeneratePairError("every restart drew degenerate seed pairs")
     mechanisms, log_likelihood = best
     return MixtureState(mechanisms, responsibilities(data, mechanisms), log_likelihood)
 
@@ -311,8 +323,10 @@ def recover_mechanism_count(data: Dataset, config: DiscoveryConfig) -> Discovery
     Runs the restart-budgeted RANSAC/EM for k = 1..k_max in order and
     returns the first k whose mechanisms all pass residual validation;
     k_hat = 0 (no decision) when none does, and with empty diagnostics when
-    all x values are equal, since no seed pair could then span a line.
-    Fully deterministic given the dataset and ``config.master_seed``.
+    all x values are equal, since no seed pair could then span a line.  A
+    stage whose every restart drew only degenerate seed pairs also ends the
+    search with k_hat = 0; its k has no diagnostics.  Fully deterministic
+    given the dataset and ``config.master_seed``.
     """
     if data.m == 0:
         raise ValueError("dataset is empty")
@@ -326,7 +340,10 @@ def recover_mechanism_count(data: Dataset, config: DiscoveryConfig) -> Discovery
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.master_seed, spawn_key=(k,))
         )
-        best = lo_ransac_best(data, k, n_resamples, rng)
+        try:
+            best = lo_ransac_best(data, k, n_resamples, rng)
+        except DegeneratePairError:
+            break
         passed, ad_results = validate_k(data, best, config)
         per_k[k] = KDiagnostics(best, n_resamples, ad_results, passed)
         if passed:

@@ -13,7 +13,10 @@ choice uses the weighted form, :func:`weighted_ad_statistic_laplace`.
 
 Line fits have one exact solver, the anchored weighted-median descent for
 simple L1 regression (Barrodale & Roberts 1973; Wesolowsky 1981), with a
-certified stop and ties broken toward the smallest (alpha, beta).
+certified stop and ties broken toward the smallest (alpha, beta).  The sort
+of the slopes about an anchor does not depend on the weights, so a caller
+that re-fits one dataset under changing weights may keep those orders in a
+cache it passes to :func:`l1_fit`.
 
 The Anderson-Darling critical values are not taken from printed tables;
 they were calibrated once by Monte Carlo (see
@@ -58,6 +61,11 @@ _TIE_RTOL = 1e-12
 # covers the rounding of the slack's sums.
 _CERTIFY_RTOL = 1e-9
 
+# Bytes of int32 slope orders one cache dict of :func:`l1_fit` may hold; past
+# them a new order is sorted and not stored.  An order takes 4 bytes a point,
+# so the orders of every anchor of a dataset of up to 2,048 points fit.
+_ORDER_CACHE_BYTES = 16 << 20
+
 # Smallest sample the Anderson-Darling test accepts.
 AD_MIN_POINTS = 20
 
@@ -95,7 +103,10 @@ def laplace_logpdf(x, params: tuple[float, float]):
 
 def laplace_cdf(x, mu: float = 0.0, b: float = 1.0):
     """Laplace CDF, elementwise over ``x``."""
-    z = (np.asarray(x, dtype=float) - mu) / b
+    z = np.asarray(x, dtype=float)
+    if np.ndim(mu) or mu != 0.0:  # subtracting a scalar 0.0 changes no bit
+        z = z - mu
+    z = z / b
     half_tail = 0.5 * np.exp(-np.abs(z))
     return np.where(z < 0, half_tail, 1.0 - half_tail)
 
@@ -140,7 +151,7 @@ def _weighted_lsq(x, y, w):
     return alpha, ym - alpha * xm
 
 
-def l1_fit(xs, ys, weights=None) -> tuple[float, float]:
+def l1_fit(xs, ys, weights=None, orders=None) -> tuple[float, float]:
     """Weighted least-absolute-deviations line fit.
 
     Minimizes sum_i w_i * |y_i - (alpha*x_i + beta)| and returns
@@ -159,6 +170,16 @@ def l1_fit(xs, ys, weights=None) -> tuple[float, float]:
     1e-12 relative is taken when it lowers (alpha, beta) lexicographically.
     Each move lowers the objective or (alpha, beta), so the descent ends.
 
+    ``orders`` is a dict from an anchor index to the int32 order of the
+    slopes about that anchor, read and filled by the descent (see
+    :func:`_anchored_line`).  An order depends on ``xs``, ``ys`` and the
+    anchor, not on the weights, so a dict may serve every fit of the same
+    two columns in the same roles: a caller that re-fits one dataset under
+    changing weights keeps one dict per direction.  A dict filled from other
+    columns gives wrong lines.  A fit whose weights hold a zero runs on the
+    positively weighted subset and neither reads nor fills the dict.  With
+    no dict, the fit uses a throwaway one.
+
     Raises
     ------
     ValueError
@@ -174,27 +195,41 @@ def l1_fit(xs, ys, weights=None) -> tuple[float, float]:
         raise DegenerateFitError("need at least two points with positive weight")
     if n_active < len(w):
         x, y, w = x[active], y[active], w[active]
+        orders = None  # subset indices are not the caller's anchors
     if np.all(x == x[0]):
         raise DegenerateFitError("x values carry no spread under the given weights")
     alpha, beta = _weighted_lsq(x, y, w)
-    return _vertex_descent(x, y, w, int(np.argmin(np.abs(y - alpha * x - beta))))
+    anchor = int(np.argmin(np.abs(y - alpha * x - beta)))
+    return _vertex_descent(x, y, w, anchor, {} if orders is None else orders)
 
 
-def _anchored_line(x, y, w, anchor: int) -> tuple[float, float, int]:
+def _anchored_line(x, y, w, anchor: int, orders: dict) -> tuple[float, float, int]:
     """Best line through point ``anchor``, as ``(alpha, beta, partner)``.
 
     The slope is the lower weighted median of the slopes to the other points,
     weighted by w_k * |x_k - x_anchor|.  Beta goes through the lower-index
     point of the pair, so a pair always yields the same bits.
+
+    The order of the slopes is taken from ``orders`` when it holds the
+    anchor; otherwise it is sorted and stored while the dict stays within
+    ``_ORDER_CACHE_BYTES``.  The slope is one division, the value the
+    elementwise division gives, so a stored order yields the same bits.
     """
     dx = x - x[anchor]
-    # Points level with the anchor in x get slope +inf, which sorts last, and
-    # zero weight, so none of them is the median.  (No NaN: it slows the sort.)
-    slopes = np.divide(y - y[anchor], dx, out=np.full_like(dx, np.inf), where=dx != 0.0)
-    order = np.argsort(slopes)
-    cum = np.cumsum((w * np.abs(dx))[order])
+    order = orders.get(anchor)
+    if order is None:
+        # Points level with the anchor in x get slope +inf, which sorts last,
+        # and zero weight, so none of them is the median.  (No NaN: it slows
+        # the sort.)
+        slopes = np.divide(y - y[anchor], dx, out=np.full_like(dx, np.inf), where=dx != 0.0)
+        order = np.argsort(slopes)
+        if (len(orders) + 1) * 4 * len(order) <= _ORDER_CACHE_BYTES:
+            orders[anchor] = order.astype(np.int32)
+    # take() gathers through a stored int32 order without converting it first.
+    cum = np.cumsum((w * np.abs(dx)).take(order))
     partner = int(order[np.searchsorted(cum, 0.5 * cum[-1])])
-    alpha = float(slopes[partner])
+    run = dx[partner]
+    alpha = float((y[partner] - y[anchor]) / run) if run != 0.0 else math.inf
     lo = min(anchor, partner)
     return alpha, float(y[lo] - alpha * x[lo]), partner
 
@@ -223,14 +258,14 @@ def _pivots(x, y, w, alpha: float, beta: float, anchor: int, partner: int):
                 yield int(k)
 
 
-def _vertex_descent(x, y, w, anchor: int) -> tuple[float, float]:
+def _vertex_descent(x, y, w, anchor: int, orders: dict) -> tuple[float, float]:
     """Descend from the best line through ``anchor`` to the optimal vertex."""
-    alpha, beta, partner = _anchored_line(x, y, w, anchor)
+    alpha, beta, partner = _anchored_line(x, y, w, anchor, orders)
     ref = _l1_objective(x, y, w, alpha, beta)
     while True:
         tol = _TIE_RTOL * (1.0 + ref)
         for pivot in _pivots(x, y, w, alpha, beta, anchor, partner):
-            a, b, p = _anchored_line(x, y, w, pivot)
+            a, b, p = _anchored_line(x, y, w, pivot, orders)
             obj = _l1_objective(x, y, w, a, b)
             if obj < ref - tol or (obj <= ref + tol and (a, b) < (alpha, beta)):
                 break
@@ -365,6 +400,11 @@ def calibrate_critical_values(
     }
 
 
+# log(1e-300) and log1p(-(1 - 1e-16)): the clipped logs at u = 0 and u = 1.
+_LOG_U_FLOOR = float(np.log(1e-300))
+_LOG_1MU_FLOOR = float(np.log1p(-(1.0 - 1e-16)))
+
+
 def weighted_ad_statistic_laplace(residuals, weights) -> float:
     """A^2 statistic generalized to weighted samples.
 
@@ -399,10 +439,17 @@ def weighted_ad_statistic_laplace(residuals, weights) -> float:
 
     # Piecewise integral over [u_k, u_{k+1}) with constant ECDF c_k:
     # int (c-u)^2/(u(1-u)) du = c^2 ln u + (1-c)^2 ln(1/(1-u)) - u.
-    uu = np.concatenate(([0.0], u, [1.0]))
-    c = np.concatenate(([0.0], cum / total))
-    log_u = np.log(np.clip(uu, 1e-300, None))
-    log_1mu = np.log1p(-np.clip(uu, None, 1.0 - 1e-16))
+    # The logs run over u bracketed by 0 and 1, both clipped like u.
+    n = len(u)
+    log_u = np.empty(n + 2)
+    log_u[0], log_u[-1] = _LOG_U_FLOOR, 0.0
+    np.log(u, out=log_u[1:-1])
+    log_1mu = np.empty(n + 2)
+    log_1mu[0], log_1mu[-1] = -0.0, _LOG_1MU_FLOOR
+    np.log1p(-u, out=log_1mu[1:-1])
+    c = np.empty(n + 1)
+    c[0] = 0.0
+    np.divide(cum, total, out=c[1:])
     du_log = log_u[1:] - log_u[:-1]
     dm_log = log_1mu[:-1] - log_1mu[1:]
     term1 = np.where(c > 0, c**2 * du_log, 0.0)

@@ -152,6 +152,19 @@ class TestDiscover:
         payload = json.loads((tmp_path / "r.json").read_text())
         assert (payload["k_hat"], payload["per_k"]) == (0, {})
 
+    def test_stage_without_usable_seed_pairs_gets_no_decision(self, tmp_path):
+        # 300 points at x = 0 and one at x = 1: no k = 2 draw holds two
+        # non-vertical pairs, so the search ends there instead of failing.
+        xs = [0.0] * 300 + [1.0]
+        ys = np.random.default_rng(0).standard_cauchy(301).tolist()
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+        code = main(["discover", "--data", str(data), "--out", str(tmp_path / "r.json"), "--seed", "1"])
+        assert code == 0
+        payload = json.loads((tmp_path / "r.json").read_text())
+        assert payload["k_hat"] == 0 and payload["decided"] is False
+        assert set(payload["per_k"]) == {"1"} and not payload["per_k"]["1"]["passed"]
+
 
 class TestManifestGitSha:
     SHA = "0123456789abcdef0123456789abcdef01234567"

@@ -267,9 +267,9 @@ def _count_runs(monkeypatch):
     calls = {"n": 0}
     original = discovery.run_em
 
-    def counting(data, mechanisms):
+    def counting(data, mechanisms, orders=None):
         calls["n"] += 1
-        return original(data, mechanisms)
+        return original(data, mechanisms, orders)
 
     monkeypatch.setattr(discovery, "run_em", counting)
     return calls
@@ -422,6 +422,19 @@ class TestRecoverMechanismCount:
         assert (res.k_hat, res.per_k) == (0, {})
         with pytest.raises(ValueError, match="degenerate"):
             lo_ransac_best(data, 1, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed, stages", [(1, {1}), (3, set())])
+    def test_stage_without_usable_seed_pairs_ends_search(self, seed, stages):
+        # One point off x = 0: a k = 1 seed pair must hold it, and no draw of
+        # two k = 2 pairs can, so the k = 2 stage (and with seed 3 already
+        # the k = 1 stage) draws only vertical pairs.
+        y = np.random.default_rng(0).standard_cauchy(301)
+        data = Dataset(np.column_stack([np.r_[np.zeros(300), 1.0], y]))
+        res = recover_mechanism_count(data, DiscoveryConfig(master_seed=seed))
+        assert res.k_hat == 0 and set(res.per_k) == stages
+        assert not any(d.passed for d in res.per_k.values())
+        with pytest.raises(ValueError, match="degenerate"):
+            lo_ransac_best(data, 2, 8, np.random.default_rng(seed))
 
     def test_theoretical_mode_uses_bound_budgets(self):
         ds = random_dataset(1, 0.0, seed=9)

@@ -1,3 +1,4 @@
+import math
 import struct
 from dataclasses import replace
 
@@ -137,6 +138,42 @@ class TestResponsibilities:
         resp = responsibilities(ds, (MechanismParams(1.0, 0.0, 1.0),))
         assert np.all(resp == 1.0)
 
+    @pytest.mark.parametrize(
+        "mech",
+        [
+            MechanismParams(1.0, 0.0, 1.0),
+            MechanismParams(-0.4, 2.0, 1.3, Direction.YX),
+            MechanismParams(1.0, 0.0, 0.01),  # far points underflow: the uniform fallback
+            MechanismParams(1.0, 0.0, 5e-324),  # |r| / b overflows: the uniform fallback
+            MechanismParams(1.0, 0.0, math.inf),
+        ],
+    )
+    def test_single_mechanism_bits_match_normalised_densities(self, mech):
+        # The exp/normalise pass, with the uniform fallback where it fails;
+        # over one mechanism the normalising total is the density itself.
+        ds = random_dataset(1, 0.1, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logp = laplace_logpdf(mech.residuals(ds.x, ds.y), (0.0, mech.b))
+            dens = np.exp(logp - logp.max())
+            resp = responsibilities(ds, (mech,))
+        dens[~np.isfinite(dens) | (dens <= 0)] = 1.0
+        assert resp.shape == (ds.m, 1) and resp[:, 0].flags.c_contiguous
+        assert resp.tobytes() == (dens / dens).tobytes()
+
+    @pytest.mark.parametrize(
+        "mech, message",
+        [
+            (MechanismParams(1.0, 0.0, 0.0), "scale must be positive"),
+            (MechanismParams(1.0, 0.0, -1.0), "scale must be positive"),
+            (MechanismParams(1.0, 0.0, math.nan), "scale must be positive"),
+            (MechanismParams(1e308, 0.0, 1.0), "finite"),  # residuals overflow
+        ],
+    )
+    def test_single_mechanism_keeps_density_checks(self, mech, message):
+        ds = random_dataset(1, 0.1, seed=3)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+            responsibilities(ds, (mech,))
+
     def test_well_separated_point(self):
         ds = Dataset(np.array([[0.0, 0.0]]))
         near = MechanismParams(0.0, 0.0, 0.5)
@@ -226,9 +263,9 @@ def _count_steps(monkeypatch):
     calls = {"n": 0}
     original = em_mod.em_step
 
-    def counting(data, mechanisms, resp):
+    def counting(data, mechanisms, resp, orders=None):
         calls["n"] += 1
-        return original(data, mechanisms, resp)
+        return original(data, mechanisms, resp, orders)
 
     monkeypatch.setattr(em_mod, "em_step", counting)
     return calls
@@ -305,7 +342,7 @@ class TestRunEM:
 
         calls = {"n": 0}
 
-        def moving_step(data, mechanisms, resp):
+        def moving_step(data, mechanisms, resp, orders=None):
             calls["n"] += 1
             return tuple(replace(m, alpha=m.alpha + 0.01) for m in mechanisms)
 

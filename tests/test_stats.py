@@ -4,6 +4,7 @@ import math
 import pkgutil
 import struct
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import metacausal
+from metacausal import stats
 from metacausal.stats import (
     B_FLOOR,
     ADTestResult,
@@ -233,6 +235,86 @@ class TestL1Fit:
         _assert_matches_oracle(x, y, np.ones_like(w) if unit_weights else w)
 
 
+def _anchored_line_reference(x, y, w, anchor):
+    """The best line through ``anchor`` from a fresh argsort, with the slope
+    read from the elementwise division."""
+    dx = x - x[anchor]
+    slopes = np.divide(y - y[anchor], dx, out=np.full_like(dx, np.inf), where=dx != 0.0)
+    order = np.argsort(slopes)
+    cum = np.cumsum((w * np.abs(dx))[order])
+    partner = int(order[np.searchsorted(cum, 0.5 * cum[-1])])
+    alpha = float(slopes[partner])
+    lo = min(anchor, partner)
+    return struct.pack("2d", alpha, y[lo] - alpha * x[lo]), partner
+
+
+def _line_bits(xs, ys, w, orders=None):
+    """The bits of ``l1_fit``'s line, or "degenerate" when it raises so."""
+    try:
+        return struct.pack("2d", *l1_fit(xs, ys, w, orders=orders))
+    except DegenerateFitError:
+        return "degenerate"
+
+
+class TestSlopeOrderCache:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.booleans(),
+        zero_share=st.sampled_from([0.0, 0.3]),
+        at_bound=st.booleans(),
+    )
+    def test_shared_cache_gives_the_bits_of_a_fresh_one(self, n, seed, grid, zero_share, at_bound):
+        rng = np.random.default_rng(seed)
+        if grid:  # an integer grid, so slopes about an anchor tie
+            x, y = rng.integers(0, 4, (2, n)).astype(float)
+        else:
+            x = rng.uniform(-5, 5, n)
+            y = rng.uniform(-3, 3) * x + sample_laplace(rng, rng.uniform(0.1, 2.0), n)
+        assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+        # One pair for both directions, filled by fits under other weights.
+        orders = ({}, {})
+        for _ in range(3):
+            w = rng.uniform(0.05, 1.0, n)
+            l1_fit(x, y, w, orders=orders[0])
+            l1_fit(y, x, w, orders=orders[1])
+        assert orders[0] and orders[1]
+        for (a, b), cache in zip(((x, y), (y, x)), orders):
+            for anchor in cache:
+                alpha, beta, partner = stats._anchored_line(a, b, w, anchor, cache)
+                want = _anchored_line_reference(a, b, w, anchor)
+                assert (struct.pack("2d", alpha, beta), partner) == want
+        w = rng.uniform(0.0, 1.0, n)
+        w[rng.uniform(size=n) < zero_share] = 0.0
+        assume(np.count_nonzero(w) >= 2)
+        before = [dict(o) for o in orders]
+        # At the bound no mapping may store another order.
+        bound = 4 * n * min(map(len, orders)) if at_bound else stats._ORDER_CACHE_BYTES
+        with mock.patch.object(stats, "_ORDER_CACHE_BYTES", bound):
+            assert _line_bits(x, y, w, orders[0]) == _line_bits(x, y, w)
+            assert _line_bits(y, x, w, orders[1]) == _line_bits(y, x, w)
+        for old, new in zip(before, orders):
+            assert all(new[a] is order for a, order in old.items())
+            if at_bound or np.count_nonzero(w) < n:  # a subset fit bypasses the cache
+                assert new.keys() == old.keys()
+
+    def test_orders_are_int32_and_bounded(self):
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-5, 5, 200)
+        y = 0.5 * x + sample_laplace(rng, 1.0, 200)
+        orders = {}
+        with mock.patch.object(stats, "_ORDER_CACHE_BYTES", 10 * 4 * 200):
+            for _ in range(20):
+                l1_fit(x, y, rng.uniform(0.05, 1.0, 200), orders=orders)
+        assert len(orders) == 10
+        for anchor, order in orders.items():
+            assert order.dtype == np.int32
+            dx = x - x[anchor]
+            slopes = np.divide(y - y[anchor], dx, out=np.full_like(dx, np.inf), where=dx != 0.0)
+            assert np.array_equal(order, np.argsort(slopes))
+
+
 class TestEstimateScale:
     def test_mean_absolute_value(self):
         assert estimate_scale([-2.0, 2.0]) == 2.0
@@ -413,6 +495,42 @@ class TestWeightedADStatistic:
 
     @settings(max_examples=300, deadline=None)
     @given(
+        n=st.integers(2, 2500),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.booleans(),
+        weights=st.sampled_from(["uniform", "zeros", "span"]),
+        offset=st.sampled_from([0.0, 1e6]),
+    )
+    def test_bits_match_the_concatenating_kernel(self, n, seed, grid, weights, offset):
+        rng = np.random.default_rng(seed)
+        if grid:  # a small integer grid, so residuals tie
+            r = rng.integers(-4, 5, n).astype(float)
+        else:
+            r = sample_laplace(rng, rng.uniform(0.1, 3.0), n)
+        if weights == "span":  # 1e-20 ... 1: the sequential and pairwise sums part
+            w = 10.0 ** rng.uniform(-20.0, 0.0, n)
+        else:
+            w = rng.uniform(0.0, 1.0, n)
+            if weights == "zeros":
+                w[rng.uniform(size=n) < 0.3] = 0.0
+        got = weighted_ad_statistic_laplace(r + offset, w)
+        want = _weighted_ad_concatenating(r + offset, w)
+        assert struct.pack("d", got) == struct.pack("d", want)
+
+    def test_bits_match_where_the_ecdf_ends_above_one(self):
+        # The sequential cumsum of the sorted weights ends above their
+        # pairwise total, so the last three ECDF values reach 1 and the
+        # c < 1 guard drops their terms.
+        rng = np.random.default_rng(92)
+        r = sample_laplace(rng, 1.0, 2000)
+        w = 10.0 ** rng.uniform(-20.0, 0.0, 2000)
+        sorted_w = w[np.argsort(r)]
+        assert np.count_nonzero(np.cumsum(sorted_w) / np.sum(sorted_w) >= 1.0) == 3
+        got = weighted_ad_statistic_laplace(r, w)
+        assert struct.pack("d", got) == struct.pack("d", _weighted_ad_concatenating(r, w))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
         n=st.integers(2, 300),
         seed=st.integers(0, 2**32 - 1),
         grid=st.booleans(),
@@ -462,6 +580,43 @@ def _weighted_ad_reference(residuals, weights):
     dm_log = np.log1p(-np.clip(uu[:-1], None, 1.0 - 1e-16)) - np.log1p(
         -np.clip(uu[1:], None, 1.0 - 1e-16)
     )
+    term1 = np.where(c > 0, c**2 * du_log, 0.0)
+    term2 = np.where(c < 1, (1.0 - c) ** 2 * dm_log, 0.0)
+    return float(total * (np.sum(term1 + term2) - 1.0))
+
+
+def _weighted_ad_concatenating(residuals, weights):
+    """The weighted A^2 with the Laplace CDF inline, the bounds concatenated
+    onto u and the ECDF, and a clip per log pass: the kernel's earlier form,
+    kept to pin its bits."""
+    r = np.asarray(residuals, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    keep = w > 0
+    if not keep.all():
+        r, w = r[keep], w[keep]
+    if r.size < 2:
+        return math.inf
+    order = np.argsort(r)
+    r, w = r[order], w[order]
+    total = float(np.sum(w))
+    cum = np.cumsum(w)
+    half = 0.5 * total
+    idx = int(np.searchsorted(cum, half))
+    if cum[idx] == half and idx + 1 < len(r):
+        med = 0.5 * (r[idx] + r[idx + 1])
+    else:
+        med = float(r[idx])
+    z = r - med
+    b = max(B_FLOOR, float(np.dot(w, np.abs(z)) / total))
+    zb = (z - 0.0) / b
+    half_tail = 0.5 * np.exp(-np.abs(zb))
+    u = np.clip(np.where(zb < 0, half_tail, 1.0 - half_tail), 1e-300, 1.0 - 1e-16)
+    uu = np.concatenate(([0.0], u, [1.0]))
+    c = np.concatenate(([0.0], cum / total))
+    log_u = np.log(np.clip(uu, 1e-300, None))
+    log_1mu = np.log1p(-np.clip(uu, None, 1.0 - 1e-16))
+    du_log = log_u[1:] - log_u[:-1]
+    dm_log = log_1mu[:-1] - log_1mu[1:]
     term1 = np.where(c > 0, c**2 * du_log, 0.0)
     term2 = np.where(c < 1, (1.0 - c) ** 2 * dm_log, 0.0)
     return float(total * (np.sum(term1 + term2) - 1.0))

@@ -16,7 +16,6 @@ states driven by an environment process.  This package provides:
 """
 
 from .bounds import (
-    empirical_resamples,
     expected_success_prob,
     lower_bound_success_prob,
     required_resamples,

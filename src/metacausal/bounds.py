@@ -25,7 +25,6 @@ __all__ = [
     "expected_success_prob",
     "lower_bound_success_prob",
     "required_resamples",
-    "empirical_resamples",
     "table2_theoretical",
 ]
 
@@ -105,20 +104,6 @@ def required_resamples(p: float, confidence: float = 0.95) -> int:
     if count == math.inf:
         raise ValueError(f"success probability {p} needs more restarts than a float holds")
     return math.ceil(count)
-
-
-def empirical_resamples(convergence_rate: float, confidence: float = 0.95) -> int:
-    """Restart count from a measured single-restart convergence rate.
-
-    Same ceiling formula as :func:`required_resamples`, applied to an
-    empirically observed per-restart success rate instead of the
-    theoretical bound.
-    """
-    if not 0.0 < convergence_rate <= 1.0:
-        raise ValueError(
-            f"convergence rate must lie in (0, 1], got {convergence_rate}"
-        )
-    return required_resamples(convergence_rate, confidence)
 
 
 def table2_theoretical(

@@ -4,6 +4,10 @@ Subcommands: ``gen`` (synthetic datasets), ``discover`` (mechanism-count
 recovery on a CSV), ``bounds`` (resample-count tables), ``reproduce``
 (reference tables 1-4 at a chosen scale), ``simulate`` (system traces).
 
+``discover`` and ``reproduce`` take their process count from the usable
+cores (the CPU affinity, so ``taskset`` limits them) and write the same
+bytes on any core count; no flag sets it.
+
 Every command is reproducible from its flags plus the master seed (flag
 ``--seed``, falling back to the METACAUSAL_SEED environment variable, then
 0; a variable that is not an integer is a usage error when ``--seed`` is
@@ -221,12 +225,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    measured = dict(
-        scale=args.scale, only_k=args.k, only_d=args.dev, master_seed=args.seed, workers=args.workers
-    )
+    cells = dict(only_k=args.k, only_d=args.dev)
+    measured = dict(cells, scale=args.scale, master_seed=args.seed)
     rows = {
         1: lambda: reproduce.table1_rows(**measured),
-        2: reproduce.table2_rows,
+        2: lambda: reproduce.table2_rows(**cells),
         3: lambda: reproduce.table3_rows(**measured),
         4: lambda: reproduce.table4_rows(**measured),
     }[args.table]()
@@ -237,7 +240,7 @@ def cmd_reproduce(args) -> int:
         _write_manifest(
             out,
             f"reproduce {args.table}",
-            {"scale": args.scale, "k": args.k, "dev": args.dev, "workers": args.workers},
+            {"scale": args.scale, "k": args.k, "dev": args.dev},
             [out.name],
             args,
         )
@@ -401,12 +404,6 @@ _unit_level = _checked(float, lambda s: 0.0 <= s <= 1.0, "level must lie in [0, 
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "expected a positive finite number")
 
 
-def _workers(text: str) -> int:
-    cores = usable_cores()
-    check = _checked(int, lambda n: 1 <= n <= cores, f"workers must lie in [1, {cores}], the usable cores")
-    return check(text)
-
-
 def _deviations(text: str) -> list[float]:
     return [_deviation(d) for d in text.split(",")]
 
@@ -465,7 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confidence", type=_confidence, default=0.95)
     p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("reproduce", parents=[common], help="re-measure a reference table at a given scale")
+    p = sub.add_parser(
+        "reproduce",
+        parents=[common],
+        help="re-measure a reference table at a given scale",
+        description="Re-measure a reference table at a given scale. Tables 1, 3 and 4 run their "
+        "datasets or restarts over a process pool of up to the usable cores (the CPU affinity, so "
+        "taskset limits them). Every task owns a seed derived from its index and the results are "
+        "gathered in task order, so the table is the same bytes on any core count.",
+    )
     p.add_argument("table", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--scale", type=_positive_float, default=0.3)
     p.add_argument(
@@ -474,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dev", type=float, default=None, choices=ref.DEVIATIONS, help="restrict to one deviation"
     )
-    p.add_argument("--workers", type=_workers, default=1, help="worker processes, 1 to the usable cores")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(fn=cmd_reproduce)
 

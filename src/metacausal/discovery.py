@@ -44,7 +44,7 @@ from itertools import chain
 import numpy as np
 
 from . import reference_values
-from .bounds import empirical_resamples, lower_bound_success_prob, required_resamples
+from .bounds import lower_bound_success_prob, required_resamples
 from .datagen import Dataset
 from .em import (
     DegeneratePairError,
@@ -149,7 +149,7 @@ def resamples_for(k: int, config: DiscoveryConfig) -> int:
             raise ValueError("class deviation leaves no valid restart probability")
         return required_resamples(p)
     d = reference_values.nearest_deviation(config.max_class_dev)
-    return empirical_resamples(reference_values.EM_CONVERGENCE_RATES[d][k - 1])
+    return required_resamples(reference_values.EM_CONVERGENCE_RATES[d][k - 1])
 
 
 def usable_cores() -> int:

@@ -147,7 +147,7 @@ def _logpdf_matrix(data: Dataset, mechs, common_axis: bool = False) -> np.ndarra
     """
     logp = np.empty((len(mechs), data.m))
     for j, mech in enumerate(mechs):
-        logp[j] = laplace_logpdf(mech.residuals(data.x, data.y), (0.0, mech.b))
+        logp[j] = laplace_logpdf(mech.residuals(data.x, data.y), mech.b)
         if common_axis and mech.direction is Direction.YX:
             logp[j] += np.log(max(abs(mech.alpha), 1e-300))
     return logp

@@ -9,8 +9,11 @@ Four reference tables are re-measured at a configurable scale:
    organized as 500 setups x 10 restarts),
 4. mean absolute parameter errors of converged fits (same runs as 3).
 
-Every task (dataset or setup) owns a seed derived from the master seed and
-its index, so results are independent of scheduling and worker count.
+Tables 1, 3 and 4 fan their tasks (datasets or setups) out over a process
+pool of up to the usable cores (the CPU affinity, so ``taskset`` limits
+them).  Every task owns a seed derived from the master seed and its index,
+and results come back in task order, so the tables are the same bit for bit
+on any core count.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference_values as ref
-from .bounds import empirical_resamples, table2_theoretical
+from .bounds import required_resamples, table2_theoretical
 from .datagen import random_dataset
-from .discovery import DiscoveryConfig, map_tasks, recover_mechanism_count
+from .discovery import DiscoveryConfig, map_tasks, recover_mechanism_count, usable_cores
 from .em import (
     check_convergence,
     draw_seed_state,
@@ -114,7 +117,9 @@ def measure_convergence_cell(
 
     Full scale runs 500 independently generated setups with 10 restarts
     each (a restart re-seeds the EM from a fresh random point sample on a
-    fresh dataset here; each run carries its own derived seed).
+    fresh dataset here; each run carries its own derived seed).  The runs
+    fan out over at most ``workers`` processes; the cell is the same bit for
+    bit on any count.
     """
     runs = max(1, round(_SETUPS_FULL_SCALE * _RESTARTS_PER_SETUP * _checked_scale(scale)))
     seeds = _task_seeds(master_seed, k, d, runs)
@@ -139,27 +144,24 @@ def _discover_dataset(args) -> int:
     return recover_mechanism_count(dataset, config).k_hat
 
 
-def confusion_row(
-    k: int, d: float, master_seed: int = 0, scale: float = 1.0, workers: int = 1
-) -> Counter:
+def confusion_row(k: int, d: float, master_seed: int = 0, scale: float = 1.0) -> Counter:
     """Recovered-count tally over ``round(100 * scale)`` datasets."""
     n_datasets = max(1, round(_DATASETS_FULL_SCALE * _checked_scale(scale)))
     seeds = _task_seeds(master_seed, k, d, n_datasets)
     tasks = [(k, d, s) for s in seeds]
-    return Counter(map_tasks(_discover_dataset, tasks, workers, chunksize=1))
+    return Counter(map_tasks(_discover_dataset, tasks, usable_cores()))
 
 
 def table1_rows(
     scale: float = 1.0,
     master_seed: int = 0,
-    workers: int = 1,
     only_k: int | None = None,
     only_d: float | None = None,
 ) -> list[dict]:
     """Confusion-matrix rows with the published reference counts alongside."""
     rows = []
     for d, k in _cells(only_k, only_d):
-        tally = confusion_row(k, d, master_seed=master_seed, scale=scale, workers=workers)
+        tally = confusion_row(k, d, master_seed=master_seed, scale=scale)
         total = sum(tally.values())
         row = {"d": d, "true_k": k, "datasets": total}
         for col, label in ((0, "none"), (1, "k1"), (2, "k2"), (3, "k3"), (4, "k4")):
@@ -169,33 +171,26 @@ def table1_rows(
     return rows
 
 
-def table2_rows() -> list[dict]:
+def table2_rows(only_k: int | None = None, only_d: float | None = None) -> list[dict]:
     """Theoretical resample counts plus both published reference columns."""
-    theo = table2_theoretical(ref.DEVIATIONS)
-    rows = []
-    for i, d in enumerate(ref.DEVIATIONS):
-        for j, k in enumerate(ref.MECHANISM_COUNTS):
-            rows.append(
-                {
-                    "d": d,
-                    "k": k,
-                    "theoretical": int(theo[i, j]),
-                    "reference_theoretical": ref.RESAMPLES_THEORETICAL[d][j],
-                    "reference_empirical": ref.RESAMPLES_EMPIRICAL[d][j],
-                }
-            )
-    return rows
+    theo = dict(zip(ref.DEVIATIONS, table2_theoretical(ref.DEVIATIONS)))
+    return [
+        {
+            "d": d,
+            "k": k,
+            "theoretical": int(theo[d][k - 1]),
+            "reference_theoretical": ref.RESAMPLES_THEORETICAL[d][k - 1],
+            "reference_empirical": ref.RESAMPLES_EMPIRICAL[d][k - 1],
+        }
+        for d, k in _cells(only_k, only_d)
+    ]
 
 
 def _convergence_cells(
-    scale: float,
-    master_seed: int,
-    workers: int,
-    only_k: int | None,
-    only_d: float | None,
+    scale: float, master_seed: int, only_k: int | None, only_d: float | None
 ) -> list[ConvergenceCell]:
     return [
-        measure_convergence_cell(k, d, master_seed=master_seed, scale=scale, workers=workers)
+        measure_convergence_cell(k, d, master_seed=master_seed, scale=scale, workers=usable_cores())
         for d, k in _cells(only_k, only_d)
     ]
 
@@ -203,7 +198,6 @@ def _convergence_cells(
 def table3_rows(
     scale: float = 0.1,
     master_seed: int = 0,
-    workers: int = 1,
     only_k: int | None = None,
     only_d: float | None = None,
 ) -> list[dict]:
@@ -213,7 +207,7 @@ def table3_rows(
     each ``reproduce`` call builds one table, so no call runs a cell twice.
     """
     rows = []
-    for cell in _convergence_cells(scale, master_seed, workers, only_k, only_d):
+    for cell in _convergence_cells(scale, master_seed, only_k, only_d):
         reference = ref.EM_CONVERGENCE_RATES[cell.d][cell.k - 1]
         rows.append(
             {
@@ -223,7 +217,7 @@ def table3_rows(
                 "converged": cell.converged,
                 "rate": cell.rate,
                 "reference_rate": reference,
-                "implied_resamples": empirical_resamples(cell.rate) if cell.rate > 0 else None,
+                "implied_resamples": required_resamples(cell.rate) if cell.rate > 0 else None,
                 "reference_resamples": ref.RESAMPLES_EMPIRICAL[cell.d][cell.k - 1],
             }
         )
@@ -233,7 +227,6 @@ def table3_rows(
 def table4_rows(
     scale: float = 0.1,
     master_seed: int = 0,
-    workers: int = 1,
     only_k: int | None = None,
     only_d: float | None = None,
 ) -> list[dict]:
@@ -243,7 +236,7 @@ def table4_rows(
     each ``reproduce`` call builds one table, so no call runs a cell twice.
     """
     rows = []
-    for cell in _convergence_cells(scale, master_seed, workers, only_k, only_d):
+    for cell in _convergence_cells(scale, master_seed, only_k, only_d):
         rows.append(
             {
                 "d": cell.d,

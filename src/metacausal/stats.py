@@ -88,25 +88,22 @@ class ADTestResult:
     n: int
 
 
-def laplace_logpdf(x, params: tuple[float, float]):
-    """Log-density log(1/(2b)) - |x - mu| / b at ``params = (mu, b)``,
-    elementwise over ``x``."""
-    mu, b = params
+def laplace_logpdf(x, b: float):
+    """Log-density log(1/(2b)) - |x| / b of the zero-centred Laplace
+    distribution of scale ``b``, elementwise over ``x``."""
     if not b > 0:
         raise ValueError(f"scale must be positive, got {b}")
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("laplace_logpdf requires finite inputs")
-    out = -np.log(2.0 * b) - np.abs(arr - mu) / b
+    out = -np.log(2.0 * b) - np.abs(arr) / b
     return float(out) if np.isscalar(x) else out
 
 
-def laplace_cdf(x, mu: float = 0.0, b: float = 1.0):
-    """Laplace CDF, elementwise over ``x``."""
-    z = np.asarray(x, dtype=float)
-    if np.ndim(mu) or mu != 0.0:  # subtracting a scalar 0.0 changes no bit
-        z = z - mu
-    z = z / b
+def laplace_cdf(x, b):
+    """CDF of the zero-centred Laplace distribution of scale ``b``,
+    elementwise over ``x``."""
+    z = np.asarray(x, dtype=float) / b
     half_tail = 0.5 * np.exp(-np.abs(z))
     return np.where(z < 0, half_tail, 1.0 - half_tail)
 
@@ -315,7 +312,7 @@ def ad_statistic_laplace(residuals):
     h = n // 2
     z = z - (z[..., h : h + 1] if n % 2 else (z[..., h - 1 : h] + z[..., h : h + 1]) / 2)
     b = np.maximum(B_FLOOR, np.mean(np.abs(z), axis=-1, keepdims=True))
-    u = np.clip(laplace_cdf(z, 0.0, b), 1e-300, 1.0 - 1e-16)
+    u = np.clip(laplace_cdf(z, b), 1e-300, 1.0 - 1e-16)
     i = np.arange(1, n + 1)
     s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[..., ::-1])), axis=-1)
     stat = -n - s / n
@@ -435,7 +432,7 @@ def weighted_ad_statistic_laplace(residuals, weights) -> float:
         med = float(r[idx])
     z = r - med
     b = max(B_FLOOR, float(np.dot(w, np.abs(z)) / total))
-    u = np.clip(laplace_cdf(z, 0.0, b), 1e-300, 1.0 - 1e-16)
+    u = np.clip(laplace_cdf(z, b), 1e-300, 1.0 - 1e-16)
 
     # Piecewise integral over [u_k, u_{k+1}) with constant ECDF c_k:
     # int (c-u)^2/(u(1-u)) du = c^2 ln u + (1-c)^2 ln(1/(1-u)) - u.

@@ -62,6 +62,7 @@ TAG_RADIUS = 1.0
 JITTER_MAX = 0.3  # evader heading jitter, radians
 TRUCE_STEPS = 12
 TRUCE_CHASER_SPEED = 0.6
+START_MIN_DISTANCE = 20.0  # least torus distance between the agents at the start
 
 CHASING = TypeLabel("chasing")
 ESCAPING = TypeLabel("escaping")
@@ -195,12 +196,12 @@ def tag_step(state: TagState, rng: np.random.Generator) -> TagState:
     return TagState(a_new, b_new, a_vel, b_vel, chaser, truce)
 
 
-def initial_tag_state(rng: np.random.Generator, min_distance: float = 20.0) -> TagState:
+def initial_tag_state(rng: np.random.Generator) -> TagState:
     """Random starting configuration with the agents well separated."""
     while True:
         a = (float(rng.uniform(0, ARENA)), float(rng.uniform(0, ARENA)))
         b = (float(rng.uniform(0, ARENA)), float(rng.uniform(0, ARENA)))
-        if np.hypot(*torus_delta(a, b)) >= min_distance:
+        if np.hypot(*torus_delta(a, b)) >= START_MIN_DISTANCE:
             return TagState(a, b)
 
 

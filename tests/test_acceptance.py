@@ -147,9 +147,7 @@ def test_criterion_6_recovery_confusion_scaled():
     start = time.monotonic()
     tallies: dict[int, Counter] = {}
     for k_true in (1, 2, 4):
-        tallies[k_true] = reproduce.confusion_row(
-            k_true, 0.0, master_seed=0, scale=0.3, workers=2
-        )
+        tallies[k_true] = reproduce.confusion_row(k_true, 0.0, master_seed=0, scale=0.3)
     share_k1 = tallies[1].get(1, 0) / sum(tallies[1].values())
     decided2 = {k: n for k, n in tallies[2].items() if k > 0}
     plurality2 = bool(decided2) and max(decided2, key=decided2.get) == 2

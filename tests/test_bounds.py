@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from metacausal.bounds import (
-    empirical_resamples,
     expected_success_prob,
     lower_bound_success_prob,
     required_resamples,
@@ -85,14 +84,16 @@ def test_required_resamples_rejects_nonpositive_p():
 
 
 def test_empirical_resamples_reference_rates():
-    assert empirical_resamples(0.3480) == 8
-    assert empirical_resamples(0.0172) == 173
-    assert empirical_resamples(0.8438) == 2
+    # The budgets of the published single-restart convergence rates.
+    assert required_resamples(0.3480) == 8
+    assert required_resamples(0.0172) == 173
+    assert required_resamples(0.8438) == 2
 
 
 def test_empirical_resamples_rejects_zero_rate():
+    # A measured rate of zero (no restart converged) has no finite budget.
     with pytest.raises(ValueError):
-        empirical_resamples(0.0)
+        required_resamples(0.0)
 
 
 def test_table2_theoretical_matches_reference_within_one():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metacausal import cli
+from metacausal import cli, discovery, reproduce
 from metacausal.cli import build_parser, main
 from metacausal.discovery import usable_cores
 
@@ -239,9 +239,8 @@ class TestBounds:
             (["gen", "--k", "1", "--n", "-1"], "--n"),
             (["reproduce", "3", "--dev", "0.15"], "--dev"),
             (["reproduce", "3", "--k", "7"], "--k"),
-            (["reproduce", "3", "--workers", "0"], "--workers"),
-            # one more than the CPU count: argparse rejects it before any pool starts
-            (["reproduce", "3", "--workers", str((os.cpu_count() or 1) + 1)], "--workers"),
+            (["gen", "--k", "0"], "--k"),
+            (["reproduce", "3", "--dev", "nan"], "--dev"),
             (["simulate", "--system", "tag", "--steps", "-1"], "--steps"),
             (["simulate", "--system", "stress", "--s0", "2"], "--s0"),
             *((["reproduce", "3", "--scale", v, "--k", "1", "--dev", "0.0"], "--scale")
@@ -254,15 +253,6 @@ class TestBounds:
             main(argv)
         assert exit_info.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
-
-
-    def test_workers_bounded_by_usable_cores(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "usable_cores", lambda: 1)
-        # Only the parser runs: were the value accepted, no table would start.
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(["reproduce", "3", "--workers", "2"])
-        assert exit_info.value.code == 2
-        assert "argument --workers:" in capsys.readouterr().err
 
 
 def _rejected_by(convert):
@@ -294,9 +284,6 @@ _BAD_POSITIVE_INT = st.one_of(st.integers(max_value=0).map(str), _NOT_INT)
 _BAD_POSITIVE_FLOAT = st.one_of(
     st.floats(max_value=0.0, allow_nan=False).map(repr), _NAN_INF, _NOT_FLOAT
 )
-_BAD_WORKERS = st.one_of(
-    st.integers(max_value=0).map(str), st.integers(min_value=usable_cores() + 1).map(str), _NOT_INT
-)
 
 
 @st.composite
@@ -320,7 +307,6 @@ _CHECKED_FLAGS = [
     (["simulate", "--system", "stress"], "--s0", _floats_outside(0.0, 1.0, True, True)),
     (["reproduce", "3"], "--scale", _BAD_POSITIVE_FLOAT),
     (["gen", "--k", "1"], "--budget", _BAD_POSITIVE_FLOAT),
-    (["reproduce", "3"], "--workers", _BAD_WORKERS),
 ]
 
 
@@ -364,6 +350,33 @@ class TestReproduce:
     def test_invalid_table_rejected(self):
         with pytest.raises(SystemExit):
             main(["reproduce", "9"])
+
+    def test_table2_restricted_to_one_cell(self, tmp_path):
+        out = tmp_path / "t2.csv"
+        assert main(["reproduce", "2", "--k", "2", "--dev", "0.1", "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 2
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert (row["d"], row["k"], row["reference_theoretical"]) == ("0.1", "2", "26")
+
+    @pytest.mark.parametrize("table, scale", [("1", "0.02"), ("3", "0.002"), ("4", "0.01")])
+    def test_same_bytes_on_one_and_two_cores(self, monkeypatch, capsys, table, scale):
+        printed = []
+        for cores in (1, 2):
+            for module in (reproduce, discovery):
+                monkeypatch.setattr(module, "usable_cores", lambda cores=cores: cores)
+            argv = ["reproduce", table, "--scale", scale, "--k", "2", "--dev", "0.1", "--seed", "3"]
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert len(printed[0].splitlines()) == 2
+
+    def test_workers_flag_is_usage_error(self, capsys):
+        # The process count comes from the usable cores; no flag sets it.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reproduce", "3", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestSimulate:

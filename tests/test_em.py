@@ -95,7 +95,7 @@ def _column_stacked_reference(ds, mechs):
     def logpdf(common_axis):
         cols = []
         for mech in mechs:
-            col = laplace_logpdf(mech.residuals(ds.x, ds.y), (0.0, mech.b))
+            col = laplace_logpdf(mech.residuals(ds.x, ds.y), mech.b)
             if common_axis and mech.direction is Direction.YX:
                 col = col + np.log(max(abs(mech.alpha), 1e-300))
             cols.append(col)
@@ -153,7 +153,7 @@ class TestResponsibilities:
         # over one mechanism the normalising total is the density itself.
         ds = random_dataset(1, 0.1, seed=3)
         with np.errstate(over="ignore", invalid="ignore"):
-            logp = laplace_logpdf(mech.residuals(ds.x, ds.y), (0.0, mech.b))
+            logp = laplace_logpdf(mech.residuals(ds.x, ds.y), mech.b)
             dens = np.exp(logp - logp.max())
             resp = responsibilities(ds, (mech,))
         dens[~np.isfinite(dens) | (dens <= 0)] = 1.0

@@ -25,12 +25,15 @@ Three settings of the published pipeline are fixed, not configured:
 
 A candidate k's restarts are independent trials, each with its own spawned
 random stream, so a stage of k >= 2 with at least four restarts per worker
-fans them out over a process pool of up to the usable cores (the process's
-CPU affinity, so ``taskset`` limits them).  The parent reduces the results
-in restart order by the serial rule, so the winner is the same bit for bit
-whatever the core count.  A k = 1 stage, which stops after its first usable
-restart, a smaller stage, and any stage run inside a worker process stay
-in-process, so pools never nest.
+fans them out over a process pool of the usable cores (the process's CPU
+affinity, so ``taskset`` limits them).  One search opens at most one pool,
+at its first stage that fans out, and closes it when the search ends; each
+worker holds the dataset and its own slope-order cache for every stage it
+serves, and the stages run here share one cache too.  The parent reduces
+the results in restart order by the serial rule, so the winner is the same
+bit for bit whatever the core count.  A k = 1 stage, which stops after its
+first usable restart, a smaller stage, and any stage run inside a worker
+process stay in-process, so pools never nest.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -68,17 +72,21 @@ __all__ = [
 ]
 
 # A stage fans out only with at least this many restarts per worker process:
-# on a 2-core Xeon, starting a pool of two workers costs 8-10 ms, a k = 1
-# restart on 100 points about 0.5 ms, and a k = 4 restart on 2000 points
-# 55-70 ms on one core (a 22-restart task sharing its slope-order cache).
+# on a 2-core Xeon, opening a pool of two workers and closing it costs
+# 11-17 ms, a k = 1 restart on 100 points 0.7-0.8 ms, and a k = 4 restart on
+# 2000 points 35-55 ms on one core (with the search's slope-order cache warm,
+# or filling).
 _MIN_RESTARTS_PER_WORKER = 4
 
 # Runner-up margin of the dominance filter (see :func:`dominance_filter`).
 DOMINANCE_MARGIN = 0.4
 
-# Tasks per worker of a fanned-out stage.  Restart costs vary, so several
-# tasks per worker even out the load; each task carries the dataset once.
-_TASKS_PER_WORKER = 4
+# Slices per worker of a fanned-out stage.  Restart costs vary, so many
+# small slices even out the load; a worker keeps its slope orders from one
+# slice to the next, so a fine split sorts nothing twice.  On 2 cores a k = 4
+# stage of 173-177 restarts runs as 32 slices of 5-6 restarts, 0.2-0.3 s
+# each, so the last slice ends soon after the others.
+_SLICES_PER_WORKER = 16
 
 
 @dataclass(frozen=True)
@@ -167,7 +175,9 @@ def map_tasks(fn, tasks: list, workers: int, chunksize: int = 1) -> list:
     Runs in-process when one worker would do, and always inside a worker
     process, so pools never nest.  The pool never outnumbers the tasks: with
     the fork start method every worker is started at the first submit,
-    whatever the task count.
+    whatever the task count.  The pool lives for this one call; the restart
+    stages of a discovery search share one pool instead (see
+    :class:`_Search`).
     """
     workers = min(workers, len(tasks))
     if workers <= 1 or multiprocessing.parent_process() is not None:
@@ -176,15 +186,17 @@ def map_tasks(fn, tasks: list, workers: int, chunksize: int = 1) -> list:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
-def _run_restarts(task) -> list[tuple[tuple, float] | None]:
-    """EM restarts of ``(data, k, children)``, one per child generator in
-    order: None when every seed draw was degenerate, else the fitted
-    mechanisms and their log-likelihood.
+def _run_restarts(
+    data: Dataset, orders: tuple[dict, dict], task
+) -> list[tuple[tuple, float] | None]:
+    """EM restarts of ``task = (k, children)`` on ``data``, one per child
+    generator in order: None when every seed draw was degenerate, else the
+    fitted mechanisms and their log-likelihood.
 
-    The restarts share one slope-order cache (see :func:`em.run_em`), so an
-    anchor sorted by one restart is not sorted again by the next.  It lives
-    as long as the task and holds at most ``stats._ORDER_CACHE_BYTES`` per
-    direction.
+    ``orders`` is the slope-order cache of ``data`` (see :func:`em.run_em`).
+    It belongs to the search, not to the task, so an anchor sorted by one
+    restart is not sorted again by a later restart of any stage run in the
+    same process.
 
     At k = 1, on a dataset whose y values hold at least two distinct values,
     the loop stops after the first restart that draws a usable seed, because
@@ -198,9 +210,8 @@ def _run_restarts(task) -> list[tuple[tuple, float] | None]:
     log-likelihood do not depend on the seed.  When all y are equal, every
     restart runs.
     """
-    data, k, children = task
+    k, children = task
     seed_free = k == 1 and not np.all(data.y == data.y[0])
-    orders = ({}, {})
     outcomes = []
     for child in children:
         init = draw_seed_state(data, k, child, init_from_pairs)
@@ -214,8 +225,64 @@ def _run_restarts(task) -> list[tuple[tuple, float] | None]:
     return outcomes
 
 
+# The dataset and slope-order pair of the search a pool worker serves; set by
+# the pool's initializer in the worker process only.
+_held: tuple[Dataset, tuple[dict, dict]] | None = None
+
+
+def _hold(data: Dataset) -> None:
+    global _held
+    _held = (data, ({}, {}))
+
+
+def _run_held(task) -> list[tuple[tuple, float] | None]:
+    return _run_restarts(*_held, task)
+
+
+class _Search:
+    """The restart stages of one discovery search on one dataset.
+
+    Slices run here share one slope-order pair.  The first stage that fans
+    out opens one process pool, of one worker per usable core, for the rest
+    of the search: each worker receives the dataset once, from the pool's
+    initializer, and keeps its own order pair for every slice of every stage
+    it runs, so a task carries only ``(k, children)``.  Use it in a ``with``
+    block: the pool is shut down, and its workers joined, when the block
+    ends, whether the search returns or raises.
+    """
+
+    def __init__(self, data: Dataset) -> None:
+        self._data = data
+        self._orders: tuple[dict, dict] = ({}, {})
+        self._pool: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> _Search:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
+
+    def run(self, k: int, slices: list, workers: int) -> list[list]:
+        """The outcomes of each slice of children, in order; over the pool
+        when ``workers`` >= 2 outside a worker process, else here."""
+        if workers < 2 or multiprocessing.parent_process() is not None:
+            return [_run_restarts(self._data, self._orders, (k, s)) for s in slices]
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=usable_cores(), initializer=_hold, initargs=(self._data,)
+            )
+        return list(self._pool.map(_run_held, [(k, s) for s in slices]))
+
+
 def lo_ransac_best(
-    data: Dataset, k: int, n_resamples: int, rng: np.random.Generator
+    data: Dataset,
+    k: int,
+    n_resamples: int,
+    rng: np.random.Generator,
+    *,
+    _search: _Search | None = None,
 ) -> MixtureState:
     """Best-of-``n_resamples`` locally optimized restarts.
 
@@ -230,7 +297,9 @@ def lo_ransac_best(
     Either way the outcomes are reduced in restart order by the same rule,
     and the winner's responsibilities are recomputed from its mechanisms,
     which gives the bits the EM run ended with.  So the result does not
-    depend on the core count.
+    depend on the core count.  A call runs as a search of one stage: its
+    pool and slope-order caches end with it.  (:func:`recover_mechanism_count`
+    passes the private ``_search`` so that its stages share them.)
 
     A k = 1 stage always runs here, as one slice that may stop after its
     first usable restart (see :func:`_run_restarts`): every later usable
@@ -250,11 +319,13 @@ def lo_ransac_best(
         raise ValueError(f"need at least {2 * k} points for k={k}, got {data.m}")
     children = rng.spawn(n_resamples)
     workers = min(usable_cores(), n_resamples // _MIN_RESTARTS_PER_WORKER) if k > 1 else 1
-    n_tasks = workers * _TASKS_PER_WORKER if workers >= 2 else 1
-    cuts = [i * n_resamples // n_tasks for i in range(n_tasks + 1)]
-    tasks = [(data, k, children[a:b]) for a, b in zip(cuts, cuts[1:])]
+    n_slices = min(n_resamples, workers * _SLICES_PER_WORKER) if workers >= 2 else 1
+    cuts = [i * n_resamples // n_slices for i in range(n_slices + 1)]
+    slices = [children[a:b] for a, b in zip(cuts, cuts[1:])]
+    with _Search(data) if _search is None else nullcontext(_search) as search:
+        outcomes = search.run(k, slices, workers)
     best = None
-    for outcome in chain.from_iterable(map_tasks(_run_restarts, tasks, workers)):
+    for outcome in chain.from_iterable(outcomes):
         if outcome is not None and (best is None or outcome[1] > best[1]):
             best = outcome
     if best is None:
@@ -333,19 +404,20 @@ def recover_mechanism_count(data: Dataset, config: DiscoveryConfig) -> Discovery
     per_k: dict[int, KDiagnostics] = {}
     if np.all(data.x == data.x[0]):
         return DiscoveryResult(0, per_k)
-    for k in range(1, config.k_max + 1):
-        if data.m < 2 * k:
-            break
-        n_resamples = resamples_for(k, config)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.master_seed, spawn_key=(k,))
-        )
-        try:
-            best = lo_ransac_best(data, k, n_resamples, rng)
-        except DegeneratePairError:
-            break
-        passed, ad_results = validate_k(data, best, config)
-        per_k[k] = KDiagnostics(best, n_resamples, ad_results, passed)
-        if passed:
-            return DiscoveryResult(k, per_k)
+    with _Search(data) as search:
+        for k in range(1, config.k_max + 1):
+            if data.m < 2 * k:
+                break
+            n_resamples = resamples_for(k, config)
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=config.master_seed, spawn_key=(k,))
+            )
+            try:
+                best = lo_ransac_best(data, k, n_resamples, rng, _search=search)
+            except DegeneratePairError:
+                break
+            passed, ad_results = validate_k(data, best, config)
+            per_k[k] = KDiagnostics(best, n_resamples, ad_results, passed)
+            if passed:
+                return DiscoveryResult(k, per_k)
     return DiscoveryResult(0, per_k)

@@ -61,10 +61,13 @@ _TIE_RTOL = 1e-12
 # covers the rounding of the slack's sums.
 _CERTIFY_RTOL = 1e-9
 
-# Bytes of int32 slope orders one cache dict of :func:`l1_fit` may hold; past
-# them a new order is sorted and not stored.  An order takes 4 bytes a point,
-# so the orders of every anchor of a dataset of up to 2,048 points fit.
+# Bytes one slope-order cache dict of :func:`l1_fit` may take; past them a
+# new order is sorted and not stored.  An entry takes its int32 order, 4 bytes
+# a point, plus about 180 bytes of array header, int key and dict slot
+# (tracemalloc, CPython 3.11, numpy 2), counted as _ORDER_ENTRY_OVERHEAD.  So
+# the orders of every anchor of a dataset of up to 2,016 points fit.
 _ORDER_CACHE_BYTES = 16 << 20
+_ORDER_ENTRY_OVERHEAD = 256
 
 # Smallest sample the Anderson-Darling test accepts.
 AD_MIN_POINTS = 20
@@ -103,9 +106,14 @@ def laplace_logpdf(x, b: float):
 def laplace_cdf(x, b):
     """CDF of the zero-centred Laplace distribution of scale ``b``,
     elementwise over ``x``."""
-    z = np.asarray(x, dtype=float) / b
-    half_tail = 0.5 * np.exp(-np.abs(z))
-    return np.where(z < 0, half_tail, 1.0 - half_tail)
+    u = np.asarray(np.asarray(x, dtype=float) / b)  # 0-d for a scalar, so it takes out=
+    below = u < 0
+    # The half tail 0.5 * exp(-|x / b|), in place.
+    np.abs(u, out=u)
+    np.negative(u, out=u)
+    np.exp(u, out=u)
+    u *= 0.5
+    return np.where(below, u, 1.0 - u)
 
 
 def sample_laplace(rng: np.random.Generator, b: float, size=None):
@@ -126,21 +134,31 @@ def _check_xyw(xs, ys, weights):
         w = np.asarray(weights, dtype=float)
         if w.shape != x.shape:
             raise ValueError("weights must match the data length")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise ValueError("weights must be non-negative")
     for name, arr in (("xs", x), ("ys", y), ("weights", w)):
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite")
     return x, y, w
 
 
+def _abs_residuals(x, y, alpha, beta):
+    """|y - alpha*x - beta|, computed in one buffer."""
+    r = alpha * x
+    np.subtract(y, r, out=r)
+    r -= beta
+    return np.abs(r, out=r)
+
+
 def _l1_objective(x, y, w, alpha, beta):
-    return float(np.sum(w * np.abs(y - alpha * x - beta)))
+    r = _abs_residuals(x, y, alpha, beta)
+    r *= w
+    return float(r.sum())
 
 
 def _weighted_lsq(x, y, w):
     """Weighted least-squares line, computed about the weighted means."""
-    sw = np.sum(w)
+    sw = w.sum()
     xm = np.dot(w, x) / sw
     ym = np.dot(w, y) / sw
     dx = x - xm
@@ -193,10 +211,10 @@ def l1_fit(xs, ys, weights=None, orders=None) -> tuple[float, float]:
     if n_active < len(w):
         x, y, w = x[active], y[active], w[active]
         orders = None  # subset indices are not the caller's anchors
-    if np.all(x == x[0]):
+    if (x == x[0]).all():
         raise DegenerateFitError("x values carry no spread under the given weights")
     alpha, beta = _weighted_lsq(x, y, w)
-    anchor = int(np.argmin(np.abs(y - alpha * x - beta)))
+    anchor = int(_abs_residuals(x, y, alpha, beta).argmin())
     return _vertex_descent(x, y, w, anchor, {} if orders is None else orders)
 
 
@@ -220,12 +238,17 @@ def _anchored_line(x, y, w, anchor: int, orders: dict) -> tuple[float, float, in
         # the sort.)
         slopes = np.divide(y - y[anchor], dx, out=np.full_like(dx, np.inf), where=dx != 0.0)
         order = np.argsort(slopes)
-        if (len(orders) + 1) * 4 * len(order) <= _ORDER_CACHE_BYTES:
+        entry = 4 * len(order) + _ORDER_ENTRY_OVERHEAD
+        if (len(orders) + 1) * entry <= _ORDER_CACHE_BYTES:
             orders[anchor] = order.astype(np.int32)
-    # take() gathers through a stored int32 order without converting it first.
-    cum = np.cumsum((w * np.abs(dx)).take(order))
-    partner = int(order[np.searchsorted(cum, 0.5 * cum[-1])])
-    run = dx[partner]
+    # The weights w_k * |dx_k| overwrite dx; take() gathers them through a
+    # stored int32 order without converting it first.
+    np.abs(dx, out=dx)
+    dx *= w
+    cum = dx.take(order)
+    np.add.accumulate(cum, out=cum)
+    partner = int(order[cum.searchsorted(0.5 * cum[-1])])
+    run = x[partner] - x[anchor]
     alpha = float((y[partner] - y[anchor]) / run) if run != 0.0 else math.inf
     lo = min(anchor, partner)
     return alpha, float(y[lo] - alpha * x[lo]), partner
@@ -285,9 +308,9 @@ def estimate_scale(residuals, weights=None) -> float:
         w = np.asarray(weights, dtype=float)
         if w.shape != r.shape:
             raise ValueError("weights must match the residual length")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise ValueError("weights must be non-negative")
-    total = float(np.sum(w))
+    total = float(w.sum())
     if total <= 0:
         raise ValueError("total weight must be positive")
     return max(B_FLOOR, float(np.dot(w, np.abs(r)) / total))
@@ -312,7 +335,8 @@ def ad_statistic_laplace(residuals):
     h = n // 2
     z = z - (z[..., h : h + 1] if n % 2 else (z[..., h - 1 : h] + z[..., h : h + 1]) / 2)
     b = np.maximum(B_FLOOR, np.mean(np.abs(z), axis=-1, keepdims=True))
-    u = np.clip(laplace_cdf(z, b), 1e-300, 1.0 - 1e-16)
+    u = laplace_cdf(z, b)
+    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
     i = np.arange(1, n + 1)
     s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[..., ::-1])), axis=-1)
     stat = -n - s / n
@@ -421,18 +445,19 @@ def weighted_ad_statistic_laplace(residuals, weights) -> float:
     # Tied residuals bound zero-width intervals, whose log differences are
     # exactly 0, so an unstable sort changes only the order tied weights sum.
     order = np.argsort(r)
-    r, w = r[order], w[order]
-    total = float(np.sum(w))
-    cum = np.cumsum(w)
+    r, w = r.take(order), w.take(order)
+    total = float(w.sum())
+    cum = np.add.accumulate(w)
     half = 0.5 * total
-    idx = int(np.searchsorted(cum, half))
+    idx = int(cum.searchsorted(half))
     if cum[idx] == half and idx + 1 < len(r):
         med = 0.5 * (r[idx] + r[idx + 1])
     else:
         med = float(r[idx])
-    z = r - med
-    b = max(B_FLOOR, float(np.dot(w, np.abs(z)) / total))
-    u = np.clip(laplace_cdf(z, b), 1e-300, 1.0 - 1e-16)
+    r -= med  # r is the sorted copy, so the caller's residuals stay as they are
+    b = max(B_FLOOR, float(np.dot(w, np.abs(r)) / total))
+    u = laplace_cdf(r, b)
+    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
 
     # Piecewise integral over [u_k, u_{k+1}) with constant ECDF c_k:
     # int (c-u)^2/(u(1-u)) du = c^2 ln u + (1-c)^2 ln(1/(1-u)) - u.
@@ -443,12 +468,20 @@ def weighted_ad_statistic_laplace(residuals, weights) -> float:
     np.log(u, out=log_u[1:-1])
     log_1mu = np.empty(n + 2)
     log_1mu[0], log_1mu[-1] = -0.0, _LOG_1MU_FLOOR
-    np.log1p(-u, out=log_1mu[1:-1])
+    np.log1p(np.negative(u, out=u), out=log_1mu[1:-1])
     c = np.empty(n + 1)
     c[0] = 0.0
     np.divide(cum, total, out=c[1:])
-    du_log = log_u[1:] - log_u[:-1]
-    dm_log = log_1mu[:-1] - log_1mu[1:]
-    term1 = np.where(c > 0, c**2 * du_log, 0.0)
-    term2 = np.where(c < 1, (1.0 - c) ** 2 * dm_log, 0.0)
-    return float(total * (np.sum(term1 + term2) - 1.0))
+    # term1 = c^2 * d(ln u), zeroed where c > 0 fails; term2 = (1-c)^2 *
+    # d(ln 1/(1-u)), zeroed where c < 1 fails (the ECDF may end at or above 1).
+    square = np.square(c)
+    term1 = np.subtract(log_u[1:], log_u[:-1])
+    term1 *= square
+    off = c > 0
+    np.copyto(term1, 0.0, where=np.logical_not(off, out=off))
+    term2 = np.subtract(log_1mu[:-1], log_1mu[1:], out=log_u[:-1])
+    np.square(np.subtract(1.0, c, out=square), out=square)
+    term2 *= square
+    np.copyto(term2, 0.0, where=np.logical_not(np.less(c, 1.0, out=off), out=off))
+    term1 += term2
+    return float(total * (term1.sum() - 1.0))

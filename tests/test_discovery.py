@@ -128,9 +128,9 @@ def _repeated_x_dataset():
     return Dataset(np.column_stack([x, rng.normal(size=len(x))]))
 
 
-def _discovery_bits(data):
+def _discovery_bits(data, k_max=2):
     """k_hat and, per candidate k, the winner's bits and the AD outcomes."""
-    res = recover_mechanism_count(data, DiscoveryConfig(k_max=2))
+    res = recover_mechanism_count(data, DiscoveryConfig(k_max=k_max))
     return res.k_hat, {k: (_bits(d.state), d.ad_results, d.passed) for k, d in res.per_k.items()}
 
 
@@ -146,10 +146,30 @@ class _CannedRestarts:
     def __init__(self, mechs, scores):
         self.mechs, self.scores = mechs, scores
 
-    def __call__(self, task):
-        _, _, children = task
+    def __call__(self, data, orders, task):
+        _, children = task
         index = [child.bit_generator.seed_seq.spawn_key[-1] for child in children]
         return [(self.mechs[i], self.scores[i]) if i in self.scores else None for i in index]
+
+
+_RUN_RESTARTS = discovery._run_restarts
+
+
+def _fail_in_a_worker(data, orders, task):
+    """The restart loop, raising in a pool worker."""
+    if multiprocessing.parent_process() is not None:
+        raise FloatingPointError("restart failed in a worker")
+    return _RUN_RESTARTS(data, orders, task)
+
+
+_VALIDATE_K = discovery.validate_k
+
+
+def _interrupt_after_k1(data, state, config):
+    """Residual validation, interrupted once a stage of k >= 2 has run."""
+    if len(state.mechanisms) > 1:
+        raise KeyboardInterrupt
+    return _VALIDATE_K(data, state, config)
 
 
 class _NoPool:
@@ -193,18 +213,19 @@ class TestRestartFanOut:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_nan_log_likelihoods_reduce_as_in_restart_order(self, monkeypatch, pools, cores):
-        # Restart 2 opens the second slice of two with a NaN: in restart order
-        # it never wins, and restart 3 beats restart 0.  A per-slice best
-        # would keep the NaN for that slice and hand the stage to restart 0.
+        # On two cores the 64 restarts run as 32 slices of two.  Restart 2
+        # opens the second slice with a NaN: in restart order it never wins,
+        # and restart 3 beats restart 0.  A per-slice best would keep the NaN
+        # for that slice and hand the stage to restart 0.
         data = random_dataset(2, 0.0, seed=14, n_per_class_avg=30)
         mechs = [
             (MechanismParams(float(i), 0.0, 1.0), MechanismParams(-float(i), 1.0, 1.0))
-            for i in range(16)
+            for i in range(64)
         ]
         scores = {0: 5.0, 2: math.nan, 3: 7.0}
         monkeypatch.setattr(discovery, "usable_cores", lambda: cores)
         monkeypatch.setattr(discovery, "_run_restarts", _CannedRestarts(mechs, scores))
-        got = lo_ransac_best(data, 2, 16, np.random.default_rng(0))
+        got = lo_ransac_best(data, 2, 64, np.random.default_rng(0))
         assert len(pools) == (cores == 2)
         assert got.mechanisms == mechs[3] and got.log_likelihood == 7.0
 
@@ -242,13 +263,52 @@ class TestRestartFanOut:
         assert done.stdout.split() == ["1"]
 
     def test_same_discovery_in_process_and_in_a_worker(self, monkeypatch, pools):
-        # In-process each dataset's k = 2 stage (8 restarts) fans out over two
-        # workers; inside a map_tasks worker it runs serially.
+        # In-process each dataset's k = 2 stage (8 restarts) fans out over the
+        # search's pool of two workers; inside a map_tasks worker it runs
+        # serially.  The map_tasks pool is the third.
         monkeypatch.setattr(discovery, "usable_cores", lambda: 2)
         tasks = [random_dataset(2, 0.0, seed=s) for s in (20, 21)]
         here = [_discovery_bits(data) for data in tasks]
-        assert pools.count(2) == 2
+        assert pools == [2, 2]
         assert map_tasks(_discovery_bits, tasks, 2) == here
+        assert pools == [2, 2, 2]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_one_pool_per_search(self, monkeypatch, pools, cores):
+        # The k = 2 (8 restarts) and k = 3 (24 restarts) stages both fan out
+        # on two cores, over the one pool the search opens at k = 2.
+        data = random_dataset(3, 0.0, seed=21, n_per_class_avg=100)
+        monkeypatch.setattr(discovery, "usable_cores", lambda: 1)
+        serial = _discovery_bits(data, k_max=3)
+        assert serial[0] == 3 and pools == []
+        monkeypatch.setattr(discovery, "usable_cores", lambda: cores)
+        assert _discovery_bits(data, k_max=3) == serial
+        assert pools == ([2] if cores == 2 else [])
+
+    @pytest.mark.parametrize("entry", ["search", "stage"])
+    def test_no_worker_outlives_a_search(self, monkeypatch, entry):
+        monkeypatch.setattr(discovery, "usable_cores", lambda: 2)
+        data = random_dataset(2, 0.0, seed=20, n_per_class_avg=100)
+        if entry == "search":
+            recover_mechanism_count(data, DiscoveryConfig(k_max=2))
+        else:
+            lo_ransac_best(data, 2, 8, np.random.default_rng(0))
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_failed_search(self, monkeypatch, pools):
+        monkeypatch.setattr(discovery, "usable_cores", lambda: 2)
+        data = random_dataset(2, 0.0, seed=20, n_per_class_avg=100)
+        monkeypatch.setattr(discovery, "_run_restarts", _fail_in_a_worker)
+        with pytest.raises(FloatingPointError):
+            recover_mechanism_count(data, DiscoveryConfig(k_max=2))
+        assert multiprocessing.active_children() == []
+        # An interrupt after a stage that fanned out closes the pool too.
+        monkeypatch.setattr(discovery, "_run_restarts", _RUN_RESTARTS)
+        monkeypatch.setattr(discovery, "validate_k", _interrupt_after_k1)
+        with pytest.raises(KeyboardInterrupt):
+            recover_mechanism_count(data, DiscoveryConfig(k_max=2))
+        assert pools == [2, 2]
+        assert multiprocessing.active_children() == []
 
     def test_k1_sixteen_restarts_on_two_cores(self, monkeypatch, pools):
         # A k = 1 stage stays in-process: pool slices would each run their

@@ -3,6 +3,7 @@ import importlib
 import math
 import pkgutil
 import struct
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -290,7 +291,8 @@ class TestSlopeOrderCache:
         assume(np.count_nonzero(w) >= 2)
         before = [dict(o) for o in orders]
         # At the bound no mapping may store another order.
-        bound = 4 * n * min(map(len, orders)) if at_bound else stats._ORDER_CACHE_BYTES
+        entry = 4 * n + stats._ORDER_ENTRY_OVERHEAD
+        bound = entry * min(map(len, orders)) if at_bound else stats._ORDER_CACHE_BYTES
         with mock.patch.object(stats, "_ORDER_CACHE_BYTES", bound):
             assert _line_bits(x, y, w, orders[0]) == _line_bits(x, y, w)
             assert _line_bits(y, x, w, orders[1]) == _line_bits(y, x, w)
@@ -304,7 +306,7 @@ class TestSlopeOrderCache:
         x = rng.uniform(-5, 5, 200)
         y = 0.5 * x + sample_laplace(rng, 1.0, 200)
         orders = {}
-        with mock.patch.object(stats, "_ORDER_CACHE_BYTES", 10 * 4 * 200):
+        with mock.patch.object(stats, "_ORDER_CACHE_BYTES", 10 * (4 * 200 + stats._ORDER_ENTRY_OVERHEAD)):
             for _ in range(20):
                 l1_fit(x, y, rng.uniform(0.05, 1.0, 200), orders=orders)
         assert len(orders) == 10
@@ -313,6 +315,66 @@ class TestSlopeOrderCache:
             dx = x - x[anchor]
             slopes = np.divide(y - y[anchor], dx, out=np.full_like(dx, np.inf), where=dx != 0.0)
             assert np.array_equal(order, np.argsort(slopes))
+
+
+    def test_filled_cache_stays_within_its_bound(self):
+        # The bound counts what an entry takes: its order, its array header,
+        # its key and its share of the dict.
+        rng = np.random.default_rng(22)
+        n = 500
+        x = rng.uniform(-5, 5, n)
+        y = 0.5 * x + sample_laplace(rng, 1.0, n)
+        w = np.ones(n)
+        bound = 1 << 20
+        with mock.patch.object(stats, "_ORDER_CACHE_BYTES", bound):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                orders = {}
+                for anchor in range(n):
+                    stats._anchored_line(x, y, w, anchor, orders)
+                taken = tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+        assert len(orders) == bound // (4 * n + stats._ORDER_ENTRY_OVERHEAD) < n
+        assert taken <= bound
+
+
+def _em_like_weights(rng, n):
+    """Responsibility-like weights of one of four mechanisms: most near 0 or
+    1, some exactly 0 and some between 1e-300 and 1e-290."""
+    w = rng.dirichlet(np.full(4, 0.3), size=n)[:, 0]
+    w[rng.uniform(size=n) < 0.05] = 0.0
+    tiny = rng.uniform(size=n) < 0.05
+    w[tiny] = 10.0 ** rng.uniform(-300.0, -290.0, np.count_nonzero(tiny))
+    return w
+
+
+class TestInPlaceKernelsAtPaperSize:
+    """On 2,000 points under EM-like weights the in-place kernels give the
+    bits of their references."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_match_the_references(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2000
+        x = rng.uniform(-5, 5, n)
+        y = rng.uniform(-3, 3) * x + sample_laplace(rng, rng.uniform(0.1, 2.0), n)
+        w = _em_like_weights(rng, n)
+        for a, b in ((x, y), (y, x)):
+            orders = {}
+            for anchor in map(int, rng.choice(n, 20, replace=False)):
+                want = _anchored_line_reference(a, b, w, anchor)
+                for _ in range(2):  # the sort, then the stored order
+                    alpha, beta, partner = stats._anchored_line(a, b, w, anchor, orders)
+                    assert (struct.pack("2d", alpha, beta), partner) == want
+                objective = float(np.sum(w * np.abs(b - alpha * a - beta)))
+                got = stats._l1_objective(a, b, w, alpha, beta)
+                assert struct.pack("d", got) == struct.pack("d", objective)
+            alpha, beta = l1_fit(a, b, w)
+            r = b - (alpha * a + beta)
+            got = weighted_ad_statistic_laplace(r, w)
+            assert struct.pack("d", got) == struct.pack("d", _weighted_ad_concatenating(r, w))
 
 
 class TestEstimateScale:

@@ -466,10 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce",
         parents=[common],
         help="re-measure a reference table at a given scale",
-        description="Re-measure a reference table at a given scale. Tables 1, 3 and 4 run their "
-        "datasets or restarts over a process pool of up to the usable cores (the CPU affinity, so "
-        "taskset limits them). Every task owns a seed derived from its index and the results are "
-        "gathered in task order, so the table is the same bytes on any core count.",
+        description="Re-measure a reference table at a given scale. Tables 1, 3 and 4 run the "
+        "datasets or restarts of all their cells, in table order, over one process pool of up to "
+        "the usable cores (the CPU affinity, so taskset limits them). Every task owns a seed "
+        "derived from its cell and index and the results are gathered in task order, so the "
+        "table is the same bytes on any core count.",
     )
     p.add_argument("table", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--scale", type=_positive_float, default=0.3)

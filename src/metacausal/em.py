@@ -206,18 +206,18 @@ def _refit_mechanism(
     orders_xy, orders_yx = orders
     try:
         a_xy, b_xy = l1_fit(data.x, data.y, weights, orders=orders_xy)
-        r_xy = data.y - (a_xy * data.x + b_xy)
-        s_xy = estimate_scale(r_xy, weights)
         a_yx, b_yx = l1_fit(data.y, data.x, weights, orders=orders_yx)
-        r_yx = data.x - (a_yx * data.y + b_yx)
-        s_yx = estimate_scale(r_yx, weights)
     except DegenerateFitError:
         return old
+    r_xy = data.y - (a_xy * data.x + b_xy)
+    r_yx = data.x - (a_yx * data.y + b_yx)
     stat_xy = weighted_ad_statistic_laplace(r_xy, weights)
     stat_yx = weighted_ad_statistic_laplace(r_yx, weights)
+    # l1_fit has checked the weights, so the scale of the kept direction
+    # cannot raise.
     if stat_yx < stat_xy:
-        return MechanismParams(a_yx, b_yx, s_yx, Direction.YX)
-    return MechanismParams(a_xy, b_xy, s_xy, Direction.XY)
+        return MechanismParams(a_yx, b_yx, estimate_scale(r_yx, weights), Direction.YX)
+    return MechanismParams(a_xy, b_xy, estimate_scale(r_xy, weights), Direction.XY)
 
 
 def em_step(

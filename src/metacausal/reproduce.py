@@ -9,11 +9,11 @@ Four reference tables are re-measured at a configurable scale:
    organized as 500 setups x 10 restarts),
 4. mean absolute parameter errors of converged fits (same runs as 3).
 
-Tables 1, 3 and 4 fan their tasks (datasets or setups) out over a process
-pool of up to the usable cores (the CPU affinity, so ``taskset`` limits
-them).  Every task owns a seed derived from the master seed and its index,
-and results come back in task order, so the tables are the same bit for bit
-on any core count.
+Tables 1, 3 and 4 run the tasks (datasets or runs) of all their cells as
+one list, in table order, over one process pool of up to the usable cores
+(the CPU affinity, so ``taskset`` limits them).  Every task owns a seed
+derived from the master seed, its cell and its index, and results come back
+in task order, so the tables are the same bit for bit on any core count.
 """
 
 from __future__ import annotations
@@ -97,13 +97,37 @@ def _checked_scale(scale: float) -> float:
     return scale
 
 
-def _cells(only_k: int | None, only_d: float | None):
+def _cells(only_k: int | None, only_d: float | None) -> list[tuple[float, int]]:
     """The (d, k) reference-table cells in table order, restricted to
     ``only_k`` and ``only_d`` when they are set."""
-    for d in ref.DEVIATIONS:
-        for k in ref.MECHANISM_COUNTS:
-            if only_d in (None, d) and only_k in (None, k):
-                yield d, k
+    return [
+        (d, k)
+        for d in ref.DEVIATIONS
+        for k in ref.MECHANISM_COUNTS
+        if only_d in (None, d) and only_k in (None, k)
+    ]
+
+
+def _cell_outcomes(fn, cells, n: int, master_seed: int, workers: int, chunksize: int) -> list[list]:
+    """``fn`` over the ``n`` tasks ``(k, d, seed)`` of each (d, k) cell in
+    ``cells``: one ``map_tasks`` call over every task in cell order, sliced
+    back into one list of outcomes per cell, in task order."""
+    tasks = [(k, d, s) for d, k in cells for s in _task_seeds(master_seed, k, d, n)]
+    outcomes = map_tasks(fn, tasks, workers, chunksize=chunksize)
+    return [outcomes[i : i + n] for i in range(0, len(outcomes), n)]
+
+
+def _convergence_cells(cells, master_seed: int, scale: float, workers: int) -> list[ConvergenceCell]:
+    """Single-restart statistics of each (d, k) cell in ``cells``."""
+    runs = max(1, round(_SETUPS_FULL_SCALE * _RESTARTS_PER_SETUP * _checked_scale(scale)))
+    per_cell = _cell_outcomes(_single_restart, cells, runs, master_seed, workers, chunksize=8)
+    result = []
+    for (d, k), outcomes in zip(cells, per_cell):
+        slopes = [s for ok, s, _ in outcomes if ok]
+        intercepts = [b for ok, _, b in outcomes if ok]
+        mae_slope, mae_intercept = (float(np.mean(v)) if v else math.nan for v in (slopes, intercepts))
+        result.append(ConvergenceCell(k, d, runs, len(slopes), mae_slope, mae_intercept))
+    return result
 
 
 def measure_convergence_cell(
@@ -121,20 +145,7 @@ def measure_convergence_cell(
     fan out over at most ``workers`` processes; the cell is the same bit for
     bit on any count.
     """
-    runs = max(1, round(_SETUPS_FULL_SCALE * _RESTARTS_PER_SETUP * _checked_scale(scale)))
-    seeds = _task_seeds(master_seed, k, d, runs)
-    outcomes = map_tasks(_single_restart, [(k, d, s) for s in seeds], workers, chunksize=8)
-    converged = sum(ok for ok, _, _ in outcomes)
-    slopes = [s for ok, s, _ in outcomes if ok]
-    intercepts = [b for ok, _, b in outcomes if ok]
-    return ConvergenceCell(
-        k=k,
-        d=d,
-        runs=runs,
-        converged=int(converged),
-        mae_slope=float(np.mean(slopes)) if slopes else float("nan"),
-        mae_intercept=float(np.mean(intercepts)) if intercepts else float("nan"),
-    )
+    return _convergence_cells([(d, k)], master_seed, scale, workers)[0]
 
 
 def _discover_dataset(args) -> int:
@@ -144,12 +155,16 @@ def _discover_dataset(args) -> int:
     return recover_mechanism_count(dataset, config).k_hat
 
 
+def _confusion_tallies(cells, master_seed: int, scale: float) -> list[Counter]:
+    """Recovered-count tally of each (d, k) cell in ``cells``."""
+    n_datasets = max(1, round(_DATASETS_FULL_SCALE * _checked_scale(scale)))
+    per_cell = _cell_outcomes(_discover_dataset, cells, n_datasets, master_seed, usable_cores(), chunksize=1)
+    return [Counter(k_hats) for k_hats in per_cell]
+
+
 def confusion_row(k: int, d: float, master_seed: int = 0, scale: float = 1.0) -> Counter:
     """Recovered-count tally over ``round(100 * scale)`` datasets."""
-    n_datasets = max(1, round(_DATASETS_FULL_SCALE * _checked_scale(scale)))
-    seeds = _task_seeds(master_seed, k, d, n_datasets)
-    tasks = [(k, d, s) for s in seeds]
-    return Counter(map_tasks(_discover_dataset, tasks, usable_cores()))
+    return _confusion_tallies([(d, k)], master_seed, scale)[0]
 
 
 def table1_rows(
@@ -159,11 +174,10 @@ def table1_rows(
     only_d: float | None = None,
 ) -> list[dict]:
     """Confusion-matrix rows with the published reference counts alongside."""
+    cells = _cells(only_k, only_d)
     rows = []
-    for d, k in _cells(only_k, only_d):
-        tally = confusion_row(k, d, master_seed=master_seed, scale=scale)
-        total = sum(tally.values())
-        row = {"d": d, "true_k": k, "datasets": total}
+    for (d, k), tally in zip(cells, _confusion_tallies(cells, master_seed, scale)):
+        row = {"d": d, "true_k": k, "datasets": sum(tally.values())}
         for col, label in ((0, "none"), (1, "k1"), (2, "k2"), (3, "k3"), (4, "k4")):
             row[f"predicted_{label}"] = tally.get(col, 0)
             row[f"reference_{label}"] = ref.CONFUSION[d][k][0 if col == 0 else col]
@@ -186,15 +200,6 @@ def table2_rows(only_k: int | None = None, only_d: float | None = None) -> list[
     ]
 
 
-def _convergence_cells(
-    scale: float, master_seed: int, only_k: int | None, only_d: float | None
-) -> list[ConvergenceCell]:
-    return [
-        measure_convergence_cell(k, d, master_seed=master_seed, scale=scale, workers=usable_cores())
-        for d, k in _cells(only_k, only_d)
-    ]
-
-
 def table3_rows(
     scale: float = 0.1,
     master_seed: int = 0,
@@ -206,22 +211,19 @@ def table3_rows(
     Runs its own convergence cells, the same ones :func:`table4_rows` runs:
     each ``reproduce`` call builds one table, so no call runs a cell twice.
     """
-    rows = []
-    for cell in _convergence_cells(scale, master_seed, only_k, only_d):
-        reference = ref.EM_CONVERGENCE_RATES[cell.d][cell.k - 1]
-        rows.append(
-            {
-                "d": cell.d,
-                "k": cell.k,
-                "runs": cell.runs,
-                "converged": cell.converged,
-                "rate": cell.rate,
-                "reference_rate": reference,
-                "implied_resamples": required_resamples(cell.rate) if cell.rate > 0 else None,
-                "reference_resamples": ref.RESAMPLES_EMPIRICAL[cell.d][cell.k - 1],
-            }
-        )
-    return rows
+    return [
+        {
+            "d": cell.d,
+            "k": cell.k,
+            "runs": cell.runs,
+            "converged": cell.converged,
+            "rate": cell.rate,
+            "reference_rate": ref.EM_CONVERGENCE_RATES[cell.d][cell.k - 1],
+            "implied_resamples": required_resamples(cell.rate) if cell.rate > 0 else None,
+            "reference_resamples": ref.RESAMPLES_EMPIRICAL[cell.d][cell.k - 1],
+        }
+        for cell in _convergence_cells(_cells(only_k, only_d), master_seed, scale, usable_cores())
+    ]
 
 
 def table4_rows(
@@ -235,17 +237,15 @@ def table4_rows(
     Runs its own convergence cells, the same ones :func:`table3_rows` runs:
     each ``reproduce`` call builds one table, so no call runs a cell twice.
     """
-    rows = []
-    for cell in _convergence_cells(scale, master_seed, only_k, only_d):
-        rows.append(
-            {
-                "d": cell.d,
-                "k": cell.k,
-                "converged": cell.converged,
-                "mae_slope": cell.mae_slope,
-                "reference_mae_slope": ref.MAE_SLOPE[cell.d][cell.k - 1],
-                "mae_intercept": cell.mae_intercept,
-                "reference_mae_intercept": ref.MAE_INTERCEPT[cell.d][cell.k - 1],
-            }
-        )
-    return rows
+    return [
+        {
+            "d": cell.d,
+            "k": cell.k,
+            "converged": cell.converged,
+            "mae_slope": cell.mae_slope,
+            "reference_mae_slope": ref.MAE_SLOPE[cell.d][cell.k - 1],
+            "mae_intercept": cell.mae_intercept,
+            "reference_mae_intercept": ref.MAE_INTERCEPT[cell.d][cell.k - 1],
+        }
+        for cell in _convergence_cells(_cells(only_k, only_d), master_seed, scale, usable_cores())
+    ]

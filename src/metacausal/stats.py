@@ -68,6 +68,9 @@ _CERTIFY_RTOL = 1e-9
 # the orders of every anchor of a dataset of up to 2,016 points fit.
 _ORDER_CACHE_BYTES = 16 << 20
 _ORDER_ENTRY_OVERHEAD = 256
+# Data past this magnitude are scaled down for the descent's start line,
+# whose squares would overflow past about 1e154.
+_START_LIMIT = 2.0**256
 
 # Smallest sample the Anderson-Darling test accepts.
 AD_MIN_POINTS = 20
@@ -124,6 +127,7 @@ def sample_laplace(rng: np.random.Generator, b: float, size=None):
 
 
 def _check_xyw(xs, ys, weights):
+    """The inputs as float arrays, checked, and the largest |x| or |y|."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -136,10 +140,15 @@ def _check_xyw(xs, ys, weights):
             raise ValueError("weights must match the data length")
         if (w < 0).any():
             raise ValueError("weights must be non-negative")
-    for name, arr in (("xs", x), ("ys", y), ("weights", w)):
-        if not np.isfinite(arr).all():
+    top = 0.0
+    for name, arr in (("xs", x), ("ys", y)):
+        big = float(np.abs(arr).max(initial=0.0))  # NaN when arr holds one
+        if not math.isfinite(big):
             raise ValueError(f"{name} must be finite")
-    return x, y, w
+        top = max(top, big)
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    return x, y, w, top
 
 
 def _abs_residuals(x, y, alpha, beta):
@@ -156,14 +165,24 @@ def _l1_objective(x, y, w, alpha, beta):
     return float(r.sum())
 
 
-def _weighted_lsq(x, y, w):
-    """Weighted least-squares line, computed about the weighted means."""
+def _start_anchor(x, y, w, top: float) -> int:
+    """The point nearest the weighted least-squares line, computed about the
+    weighted means, where the descent starts.
+
+    When ``top``, a bound on |x| and |y|, passes ``_START_LIMIT``, the line
+    is fitted to the data divided by a power of two, so its squares stay
+    finite.  Ordinary data are not divided, so their start is the same bit
+    for bit.
+    """
+    if top > _START_LIMIT:
+        shift = -math.frexp(top)[1]
+        x, y = np.ldexp(x, shift), np.ldexp(y, shift)
     sw = w.sum()
     xm = np.dot(w, x) / sw
     ym = np.dot(w, y) / sw
     dx = x - xm
     alpha = np.dot(w * dx, y - ym) / np.dot(w * dx, dx)
-    return alpha, ym - alpha * xm
+    return int(_abs_residuals(x, y, alpha, ym - alpha * xm).argmin())
 
 
 def l1_fit(xs, ys, weights=None, orders=None) -> tuple[float, float]:
@@ -203,7 +222,7 @@ def l1_fit(xs, ys, weights=None, orders=None) -> tuple[float, float]:
         If fewer than two points carry positive weight, or all positively
         weighted x values coincide.
     """
-    x, y, w = _check_xyw(xs, ys, weights)
+    x, y, w, top = _check_xyw(xs, ys, weights)
     active = w > 0
     n_active = int(np.count_nonzero(active))
     if n_active < 2:
@@ -213,9 +232,7 @@ def l1_fit(xs, ys, weights=None, orders=None) -> tuple[float, float]:
         orders = None  # subset indices are not the caller's anchors
     if (x == x[0]).all():
         raise DegenerateFitError("x values carry no spread under the given weights")
-    alpha, beta = _weighted_lsq(x, y, w)
-    anchor = int(_abs_residuals(x, y, alpha, beta).argmin())
-    return _vertex_descent(x, y, w, anchor, {} if orders is None else orders)
+    return _vertex_descent(x, y, w, _start_anchor(x, y, w, top), {} if orders is None else orders)
 
 
 def _anchored_line(x, y, w, anchor: int, orders: dict) -> tuple[float, float, int]:
@@ -286,6 +303,8 @@ def _vertex_descent(x, y, w, anchor: int, orders: dict) -> tuple[float, float]:
         tol = _TIE_RTOL * (1.0 + ref)
         for pivot in _pivots(x, y, w, alpha, beta, anchor, partner):
             a, b, p = _anchored_line(x, y, w, pivot, orders)
+            if (a, b) == (alpha, beta):
+                continue  # the current line: neither a lower objective nor a lower (a, b)
             obj = _l1_objective(x, y, w, a, b)
             if obj < ref - tol or (obj <= ref + tol and (a, b) < (alpha, beta)):
                 break

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -501,3 +502,14 @@ class TestRecoverMechanismCount:
         cfg = DiscoveryConfig(resample_mode="theoretical", master_seed=0)
         res = recover_mechanism_count(ds, cfg)
         assert res.per_k[1].resamples == 1
+
+    @pytest.mark.parametrize("factor", [1e160, 1e200, 1e300])
+    def test_huge_units_give_the_count_without_overflow(self, factor):
+        # The descent's start line squares the data; past about 1e154 it is
+        # fitted to the data scaled down by a power of two.
+        base = random_dataset(2, 0.0, seed=5)
+        want = recover_mechanism_count(base, DiscoveryConfig()).k_hat
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = recover_mechanism_count(Dataset(base.points * factor), DiscoveryConfig())
+        assert res.k_hat == want == 2

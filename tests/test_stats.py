@@ -340,6 +340,72 @@ class TestSlopeOrderCache:
         assert taken <= bound
 
 
+def _vertex_descent_reference(x, y, w, anchor):
+    """The descent that scores every pivot's line, the current one included."""
+    orders = {}
+    alpha, beta, partner = stats._anchored_line(x, y, w, anchor, orders)
+    ref = stats._l1_objective(x, y, w, alpha, beta)
+    while True:
+        tol = stats._TIE_RTOL * (1.0 + ref)
+        for pivot in stats._pivots(x, y, w, alpha, beta, anchor, partner):
+            a, b, p = stats._anchored_line(x, y, w, pivot, orders)
+            obj = stats._l1_objective(x, y, w, a, b)
+            if obj < ref - tol or (obj <= ref + tol and (a, b) < (alpha, beta)):
+                break
+        else:
+            return alpha, beta
+        ref = min(ref, obj)
+        alpha, beta, anchor, partner = a, b, pivot, p
+
+
+def _start(x, y, w):
+    """``l1_fit``'s start anchor on positively weighted data."""
+    return stats._start_anchor(x, y, w, stats._check_xyw(x, y, w)[3])
+
+
+class TestDescentSkipsTheCurrentLine:
+    """A pivot whose best line is the current line is never taken, so the
+    descent does not score it and returns the bits of the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["continuous", "tied", "grid"]),
+        anchor_draw=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_same_bits_as_the_reference(self, n, seed, kind, anchor_draw):
+        rng = np.random.default_rng(seed)
+        if kind == "continuous":
+            x = rng.uniform(-5, 5, n)
+            y = rng.uniform(-3, 3) * x + sample_laplace(rng, rng.uniform(0.1, 2.0), n)
+        elif kind == "tied":  # repeated points, several on one line
+            x = rng.integers(0, 6, n).astype(float)
+            y = np.where(rng.uniform(size=n) < 0.6, 0.5 * x + 1.0, rng.integers(0, 4, n))
+        else:
+            x, y = rng.integers(0, 4, (2, n)).astype(float)
+        assume(np.ptp(x) > 0)
+        w = rng.uniform(0.05, 1.0, n) if rng.uniform() < 0.5 else np.ones(n)
+        for anchor in (_start(x, y, w), int(anchor_draw * n)):
+            got = stats._vertex_descent(x, y, w, anchor, {})
+            assert struct.pack("2d", *got) == struct.pack("2d", *_vertex_descent_reference(x, y, w, anchor))
+
+    def test_one_objective_fewer_per_continuous_fit(self):
+        rng = np.random.default_rng(31)
+        problems = []
+        for _ in range(40):
+            x = rng.uniform(-5, 5, 300)
+            y = rng.uniform(-3, 3) * x + sample_laplace(rng, 1.0, 300)
+            problems.append((x, y, rng.uniform(0.05, 1.0, 300)))
+        counts = []
+        for descent in (_vertex_descent_reference, lambda x, y, w, a: stats._vertex_descent(x, y, w, a, {})):
+            with mock.patch.object(stats, "_l1_objective", wraps=stats._l1_objective) as objective:
+                for x, y, w in problems:
+                    descent(x, y, w, _start(x, y, w))
+            counts.append(objective.call_count)
+        assert counts[1] == counts[0] - len(problems)
+
+
 def _em_like_weights(rng, n):
     """Responsibility-like weights of one of four mechanisms: most near 0 or
     1, some exactly 0 and some between 1e-300 and 1e-290."""

@@ -13,10 +13,12 @@ Every command is reproducible from its flags plus the master seed (flag
 0; a variable that is not an integer is a usage error when ``--seed`` is
 absent).  Commands that write files also write a manifest JSON recording the
 command, the configuration snapshot, the seeds, the artifact paths, the
-elapsed wall time, the software versions, the usable cores and the git
-commit of the package's checkout (null outside one); JSON results name their
-manifest, CSV artifacts are named by it.  In ``discover`` results, each
-k's ``resamples`` is the restart budget, not the number of restarts run.
+elapsed wall time, the software versions, numpy's SIMD dispatch of float64
+``exp``, ``log`` and ``log1p`` (null before numpy 2.0), the usable cores and
+the git commit of the package's checkout (null outside one); JSON results
+name their manifest, CSV artifacts are named by it.  In ``discover``
+results, each k's ``resamples`` is the restart budget, not the number of
+restarts run.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 internal error.
 """
@@ -93,6 +95,17 @@ def _git_sha() -> str | None:
     return sha if done.returncode == 0 and sha else None
 
 
+def _numpy_dispatch() -> dict | None:
+    """The SIMD target numpy dispatches float64 ``exp``, ``log`` and ``log1p``
+    to, whose last bits differ between targets; None before numpy 2.0."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name="exp|log|log1p", signature="float64")
+    return {f: info[f]["dd"]["current"] for f in ("exp", "log", "log1p")}
+
+
 def _write_manifest(out: Path, command: str, config: dict, artifacts: list[str], args) -> Path:
     path = _manifest_path(out)
     payload = {
@@ -108,6 +121,7 @@ def _write_manifest(out: Path, command: str, config: dict, artifacts: list[str],
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
+        "numpy_dispatch": _numpy_dispatch(),
         "usable_cores": usable_cores(),
         "git_sha": _git_sha(),
     }
@@ -148,7 +162,6 @@ def cmd_discover(args) -> int:
             max_class_dev=args.dev,
             resample_mode=args.mode,
             master_seed=args.seed,
-            dominance_rule=args.dominance_rule,
         )
     except ValueError as exc:
         raise SystemExit(_usage(str(exc))) from exc
@@ -190,7 +203,6 @@ def cmd_discover(args) -> int:
             "kmax": args.kmax,
             "dev": args.dev,
             "mode": args.mode,
-            "dominance_rule": args.dominance_rule,
         },
         [out.name],
         args,
@@ -364,13 +376,10 @@ def cmd_simulate(args) -> int:
         out = Path(args.out)
         with out.open("w", newline="", encoding="utf-8") as f:
             _write_csv(rows, f)
-        _write_manifest(
-            out,
-            f"simulate {args.system}",
-            {"steps": args.steps, "s0": getattr(args, "s0", None)},
-            [out.name],
-            args,
-        )
+        config = {"steps": args.steps}
+        if args.system == "stress":
+            config.update(s0=args.s0, ext_schedule=args.ext_schedule)
+        _write_manifest(out, f"simulate {args.system}", config, [out.name], args)
         print(f"wrote {out} ({len(rows)} rows)")
     else:
         _write_csv(rows, sys.stdout)
@@ -453,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--dev", type=_deviation, default=0.0)
     p.add_argument("--mode", choices=("empirical", "theoretical"), default="empirical")
-    p.add_argument("--dominance-rule", choices=("relative", "remainder"), default="relative")
     p.set_defaults(fn=cmd_discover)
 
     p = sub.add_parser("bounds", parents=[common], help="print restart-probability and resample tables")

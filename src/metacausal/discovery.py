@@ -15,11 +15,11 @@ Three settings of the published pipeline are fixed, not configured:
   95% confidence, the level of the published budget tables, and the
   empirical mode reads the published single-restart convergence rates
   (``reference_values.EM_CONVERGENCE_RATES``);
-- a point is owned by a mechanism when its runner-up responsibility stays
-  below a margin set by ``DOMINANCE_MARGIN`` = 0.4 (see
-  :func:`dominance_filter`): at k = 2 the "relative" rule then keeps points
-  whose top responsibility exceeds 0.625, so points near a crossing of two
-  lines, whose residuals belong to neither, stay out of the test;
+- a point is owned by a mechanism when it is the point's top responsibility
+  and the runner-up stays below (1 - ``DOMINANCE_MARGIN``) = 0.6 times the
+  top (see :func:`dominance_filter`): at k = 2 that keeps points whose top
+  responsibility exceeds 0.625, so points near a crossing of two lines,
+  whose residuals belong to neither, stay out of the test;
 - a mechanism needs ``stats.AD_MIN_POINTS`` dominant points, the smallest
   sample the Anderson-Darling test accepts.
 
@@ -96,17 +96,15 @@ class DiscoveryConfig:
     ``resample_mode`` selects the restart budget: "theoretical" uses the
     worst-case bound at ``max_class_dev``; "empirical" uses the published
     single-restart convergence rates at the nearest tabulated deviation,
-    which stop at k = 4.  ``dominance_rule`` picks the point filter (see
-    :func:`dominance_filter`).  The budget's 95% confidence, the dominance
-    margin and the per-mechanism minimum sample are fixed; the module
-    docstring gives each one's reason.
+    which stop at k = 4.  The budget's 95% confidence, the dominance rule
+    and the per-mechanism minimum sample are fixed; the module docstring
+    gives each one's reason.
     """
 
     k_max: int = 4
     max_class_dev: float = 0.0
     resample_mode: str = "empirical"
     master_seed: int = 0
-    dominance_rule: str = "relative"
 
     def __post_init__(self) -> None:
         if self.k_max < 1:
@@ -119,8 +117,6 @@ class DiscoveryConfig:
                 f"reference rates stop at k = {top}, got k_max = {self.k_max}; "
                 "use the theoretical mode"
             )
-        if self.dominance_rule not in ("relative", "remainder"):
-            raise ValueError(f"unknown dominance rule {self.dominance_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -334,17 +330,13 @@ def lo_ransac_best(
     return MixtureState(mechanisms, responsibilities(data, mechanisms), log_likelihood)
 
 
-def dominance_filter(
-    responsibilities: np.ndarray, class_index: int, rule: str = "relative"
-) -> np.ndarray:
+def dominance_filter(responsibilities: np.ndarray, class_index: int) -> np.ndarray:
     """Indices of points clearly owned by ``class_index``.
 
-    A point belongs to the class when it is the argmax of the point's
-    responsibilities and the runner-up responsibility is small enough:
-    below (1 - margin) * top for the "relative" rule, below
-    margin * (1 - top) for the "remainder" variant, with the margin
-    ``DOMINANCE_MARGIN``.  With a single class every point is kept (the
-    runner-up is defined as 0).
+    A point belongs to the class when the class is the argmax of the point's
+    responsibilities and the runner-up responsibility is below
+    (1 - ``DOMINANCE_MARGIN``) times the top one.  With a single class every
+    point is kept (the runner-up is defined as 0).
     """
     resp = np.asarray(responsibilities, dtype=float)
     owner = resp.argmax(axis=1)
@@ -354,18 +346,11 @@ def dominance_filter(
     else:
         part = np.partition(resp, -2, axis=1)
         runner = part[:, -2]
-    if rule == "relative":
-        clear = runner < (1.0 - DOMINANCE_MARGIN) * top
-    elif rule == "remainder":
-        clear = runner < DOMINANCE_MARGIN * (1.0 - top)
-    else:
-        raise ValueError(f"unknown dominance rule {rule!r}")
+    clear = runner < (1.0 - DOMINANCE_MARGIN) * top
     return np.flatnonzero((owner == class_index) & clear)
 
 
-def validate_k(
-    data: Dataset, state: MixtureState, config: DiscoveryConfig
-) -> tuple[bool, tuple[ADTestResult | None, ...]]:
+def validate_k(data: Dataset, state: MixtureState) -> tuple[bool, tuple[ADTestResult | None, ...]]:
     """Residual validation of a fitted mixture.
 
     Every mechanism must keep at least ``AD_MIN_POINTS`` dominance-filtered
@@ -376,7 +361,7 @@ def validate_k(
     results: list[ADTestResult | None] = []
     passed = True
     for j, mech in enumerate(state.mechanisms):
-        idx = dominance_filter(state.responsibilities, j, config.dominance_rule)
+        idx = dominance_filter(state.responsibilities, j)
         if len(idx) < AD_MIN_POINTS:
             results.append(None)
             passed = False
@@ -416,7 +401,7 @@ def recover_mechanism_count(data: Dataset, config: DiscoveryConfig) -> Discovery
                 best = lo_ransac_best(data, k, n_resamples, rng, _search=search)
             except DegeneratePairError:
                 break
-            passed, ad_results = validate_k(data, best, config)
+            passed, ad_results = validate_k(data, best)
             per_k[k] = KDiagnostics(best, n_resamples, ad_results, passed)
             if passed:
                 return DiscoveryResult(k, per_k)

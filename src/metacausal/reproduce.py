@@ -5,8 +5,8 @@ Four reference tables are re-measured at a configurable scale:
 1. confusion matrices of the recovered mechanism count (datasets per cell
    scale from 100),
 2. theoretical resample counts (exact, no scaling),
-3. single-restart EM convergence rates (runs per cell scale from 5000,
-   organized as 500 setups x 10 restarts),
+3. single-restart EM convergence rates (runs per cell scale from 5000;
+   each run draws a fresh dataset and makes one restart on it),
 4. mean absolute parameter errors of converged fits (same runs as 3).
 
 Tables 1, 3 and 4 run the tasks (datasets or runs) of all their cells as
@@ -46,8 +46,7 @@ __all__ = [
     "table4_rows",
 ]
 
-_SETUPS_FULL_SCALE = 500
-_RESTARTS_PER_SETUP = 10
+_RUNS_FULL_SCALE = 5000
 _DATASETS_FULL_SCALE = 100
 
 
@@ -119,7 +118,7 @@ def _cell_outcomes(fn, cells, n: int, master_seed: int, workers: int, chunksize:
 
 def _convergence_cells(cells, master_seed: int, scale: float, workers: int) -> list[ConvergenceCell]:
     """Single-restart statistics of each (d, k) cell in ``cells``."""
-    runs = max(1, round(_SETUPS_FULL_SCALE * _RESTARTS_PER_SETUP * _checked_scale(scale)))
+    runs = max(1, round(_RUNS_FULL_SCALE * _checked_scale(scale)))
     per_cell = _cell_outcomes(_single_restart, cells, runs, master_seed, workers, chunksize=8)
     result = []
     for (d, k), outcomes in zip(cells, per_cell):
@@ -139,11 +138,10 @@ def measure_convergence_cell(
 ) -> ConvergenceCell:
     """Convergence rate of single random restarts for one table cell.
 
-    Full scale runs 500 independently generated setups with 10 restarts
-    each (a restart re-seeds the EM from a fresh random point sample on a
-    fresh dataset here; each run carries its own derived seed).  The runs
-    fan out over at most ``workers`` processes; the cell is the same bit for
-    bit on any count.
+    Full scale makes 5000 runs.  Each run draws a fresh dataset and seeds
+    one EM restart from a random point sample on it, with its own derived
+    seed.  The runs fan out over at most ``workers`` processes; the cell is
+    the same bit for bit on any count.
     """
     return _convergence_cells([(d, k)], master_seed, scale, workers)[0]
 

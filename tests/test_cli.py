@@ -135,6 +135,14 @@ class TestDiscover:
         assert manifest["versions"]["numpy"] == np.__version__
         assert all(isinstance(v, str) and v for v in manifest["versions"].values())
         assert manifest["usable_cores"] == usable_cores()
+        assert set(manifest["config"]) == {"data", "kmax", "dev", "mode"}
+
+    def test_dominance_rule_flag_is_usage_error(self, capsys):
+        # One dominance rule, fixed: no flag selects another.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["discover", "--data", "d.csv", "--dominance-rule", "relative"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --dominance-rule relative" in capsys.readouterr().err
 
     def test_empirical_kmax_above_reference_is_usage_error(self, tmp_path):
         main(["gen", "--k", "1", "--n", "100", "--seed", "3", "--out", str(tmp_path / "d.csv")])
@@ -200,6 +208,56 @@ class TestManifestGitSha:
 
         monkeypatch.setattr(cli.subprocess, "run", fake_run)
         assert self._manifest(tmp_path)["git_sha"] is None
+
+
+_DISPATCH_PROBE = (
+    "from numpy.lib.introspect import opt_func_info; "
+    "info = opt_func_info(func_name='exp|log|log1p', signature='float64'); "
+    "print(','.join(info[f]['dd']['current'] for f in ('exp', 'log', 'log1p')))"
+)
+
+
+def _native_exp_target():
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    return opt_func_info(func_name="exp", signature="float64")["exp"]["dd"]["current"]
+
+
+class TestManifestNumpyDispatch:
+    # float64 exp, log and log1p return different last bits under different
+    # SIMD targets, so a manifest names the targets its run used.
+
+    def _manifest(self, tmp_path):
+        assert main(["gen", "--k", "1", "--n", "60", "--out", str(tmp_path / "d.csv")]) == 0
+        return json.loads((tmp_path / "d.csv.manifest.json").read_text())
+
+    def test_records_the_float64_targets(self, tmp_path):
+        dispatch = self._manifest(tmp_path)["numpy_dispatch"]
+        if _native_exp_target() is None:
+            assert dispatch is None
+            return
+        assert set(dispatch) == {"exp", "log", "log1p"}
+        assert all(isinstance(v, str) and v for v in dispatch.values())
+        assert dispatch["exp"] == _native_exp_target()
+
+    def test_null_before_numpy_2(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy.lib.introspect", None)
+        assert self._manifest(tmp_path)["numpy_dispatch"] is None
+
+    @pytest.mark.skipif(_native_exp_target() != "X86_V4", reason="needs AVX-512 (X86_V4) dispatch")
+    def test_follows_disabled_cpu_features(self, tmp_path):
+        path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path,
+               "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+        gen = [sys.executable, "-m", "metacausal.cli", "gen", "--k", "1", "--n", "60", "--out", "d.csv"]
+        assert subprocess.run(gen, capture_output=True, cwd=tmp_path, env=env).returncode == 0
+        probe = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE], capture_output=True,
+                               text=True, env=env, check=True)
+        dispatch = json.loads((tmp_path / "d.csv.manifest.json").read_text())["numpy_dispatch"]
+        assert dispatch["exp"] != "X86_V4"
+        assert ",".join(dispatch[f] for f in ("exp", "log", "log1p")) == probe.stdout.strip()
 
 
 class TestBounds:
@@ -399,6 +457,24 @@ class TestSimulate:
         lines = out.read_text().strip().splitlines()
         last = dict(zip(lines[0].split(","), lines[-1].split(",")))
         assert last["self_type"] == "+1"  # external stressors flipped the mode
+
+    def test_stress_manifest_records_the_schedule(self, tmp_path):
+        sched = tmp_path / "ext.csv"
+        sched.write_text("ext\n0.9\n")
+        out = tmp_path / "st.csv"
+        assert main(["simulate", "--system", "stress", "--steps", "3",
+                     "--ext-schedule", str(sched), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "st.csv.manifest.json").read_text())
+        assert manifest["config"] == {"steps": 3, "s0": 0.8, "ext_schedule": str(sched)}
+        assert main(["simulate", "--system", "stress", "--steps", "3", "--s0", "0.5", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "st.csv.manifest.json").read_text())
+        assert manifest["config"] == {"steps": 3, "s0": 0.5, "ext_schedule": None}
+
+    def test_tag_manifest_records_only_what_tag_reads(self, tmp_path):
+        out = tmp_path / "tag.csv"
+        assert main(["simulate", "--system", "tag", "--steps", "5", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "tag.csv.manifest.json").read_text())
+        assert manifest["config"] == {"steps": 5}
 
     @pytest.mark.parametrize("value", ["2.0", "-0.5", "nan", "inf"])
     def test_out_of_range_ext_schedule_names_row(self, tmp_path, capsys, value):

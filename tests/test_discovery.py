@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from metacausal import discovery
 from metacausal.datagen import Dataset, MechanismParams, random_dataset
@@ -37,14 +39,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             DiscoveryConfig(resample_mode="magic")
         with pytest.raises(ValueError):
-            DiscoveryConfig(dominance_rule="other")
-        with pytest.raises(ValueError):
             DiscoveryConfig(k_max=5)  # reference rates stop at k = 4
 
     def test_kmax_beyond_reference_rates_needs_rates_or_bound(self):
         assert DiscoveryConfig(k_max=5, resample_mode="theoretical").k_max == 5
         with pytest.raises(ValueError, match="use the theoretical mode"):
             DiscoveryConfig(k_max=5)
+
+    def test_no_dominance_rule_field(self):
+        # One rule, fixed: no field selects another.
+        with pytest.raises(TypeError):
+            DiscoveryConfig(dominance_rule="relative")
 
 
 class TestResampleBudgets:
@@ -166,11 +171,11 @@ def _fail_in_a_worker(data, orders, task):
 _VALIDATE_K = discovery.validate_k
 
 
-def _interrupt_after_k1(data, state, config):
+def _interrupt_after_k1(data, state):
     """Residual validation, interrupted once a stage of k >= 2 has run."""
     if len(state.mechanisms) > 1:
         raise KeyboardInterrupt
-    return _VALIDATE_K(data, state, config)
+    return _VALIDATE_K(data, state)
 
 
 class _NoPool:
@@ -382,17 +387,39 @@ class TestDominanceFilter:
         resp = np.ones((50, 1))
         assert len(dominance_filter(resp, 0)) == 50
 
-    def test_remainder_rule(self):
-        resp = np.array([[0.8, 0.2], [0.62, 0.38]])
-        # remainder rule: runner < margin * (1 - top)
-        kept = dominance_filter(resp, 0, rule="remainder")
-        assert list(kept) == []  # 0.2 >= 0.4*0.2 and 0.38 >= 0.4*0.38
-        kept2 = dominance_filter(np.array([[0.95, 0.01]]), 0, rule="remainder")
-        assert list(kept2) == [0]
-
     def test_owner_must_match(self):
         resp = np.array([[0.7, 0.3]])
         assert list(dominance_filter(resp, 1)) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k).filter(lambda r: sum(r) > 0),
+                min_size=1,
+                max_size=30,
+            )
+        )
+    )
+    @example([[0.625, 0.375]])  # runner-up exactly 0.6 * top: dropped
+    def test_keeps_argmax_points_with_a_small_runner_up(self, raw):
+        # Rows that sum to 1, as responsibilities do.
+        resp = np.array(raw) / np.array(raw).sum(axis=1, keepdims=True)
+        n, k = resp.shape
+        ranked = -np.sort(-resp, axis=1)
+        top = ranked[:, 0]
+        runner = ranked[:, 1] if k > 1 else np.zeros(n)
+        for j in range(k):
+            expected = [i for i in range(n) if resp[i].argmax() == j and runner[i] < 0.6 * top[i]]
+            assert list(dominance_filter(resp, j)) == expected
+        if k == 1:
+            assert list(dominance_filter(resp, 0)) == list(range(n))
+        if k == 2:
+            clear = np.abs(top - 0.625) > 1e-9
+            kept = set(dominance_filter(resp, 0)) | set(dominance_filter(resp, 1))
+            assert {i for i in range(n) if clear[i] and i in kept} == {
+                i for i in range(n) if clear[i] and top[i] > 0.625
+            }
 
 
 class TestValidateK:
@@ -400,9 +427,8 @@ class TestValidateK:
         passes = 0
         for seed in range(20):
             ds = random_dataset(1, 0.0, seed=400 + seed)
-            cfg = DiscoveryConfig(master_seed=seed)
             best = lo_ransac_best(ds, 1, 2, np.random.default_rng(seed))
-            ok, results = validate_k(ds, best, cfg)
+            ok, results = validate_k(ds, best)
             passes += ok
         assert passes >= 16  # AD calibration: ~95% minus fit slack
 
@@ -415,14 +441,12 @@ class TestValidateK:
             MechanismParams(-3.0, -4.0, 0.3, Direction.XY),
         )
         ds = generate_dataset(mechs, [0.5, 0.5], np.random.default_rng(7), 500)
-        cfg = DiscoveryConfig(master_seed=0)
         best = lo_ransac_best(ds, 1, 2, np.random.default_rng(0))
-        ok, _ = validate_k(ds, best, cfg)
+        ok, _ = validate_k(ds, best)
         assert not ok
 
     def test_starved_class_fails(self):
         ds = random_dataset(1, 0.0, seed=5)
-        cfg = DiscoveryConfig(master_seed=0)
         best = lo_ransac_best(ds, 1, 1, np.random.default_rng(1))
         # shrink the dataset below the AD test's 20 points: only 10 remain
         small = Dataset(ds.points[:10])
@@ -433,7 +457,7 @@ class TestValidateK:
             responsibilities(small, best.mechanisms),
             mixture_log_likelihood(small, best.mechanisms),
         )
-        ok, results = validate_k(small, state, cfg)
+        ok, results = validate_k(small, state)
         assert not ok
         assert results == (None,)
 

@@ -10,23 +10,26 @@ bytes on any core count; no flag sets it.
 
 Every command is reproducible from its flags plus the master seed (flag
 ``--seed``, falling back to the METACAUSAL_SEED environment variable, then
-0; a variable that is not an integer is a usage error when ``--seed`` is
-absent).  Commands that write files also write a manifest JSON recording the
-command, the configuration snapshot, the seeds, the artifact paths, the
-elapsed wall time, the software versions, numpy's SIMD dispatch of float64
-``exp``, ``log`` and ``log1p`` (null before numpy 2.0), the usable cores and
-the git commit of the package's checkout (null outside one); JSON results
-name their manifest, CSV artifacts are named by it.  In ``discover``
-results, each k's ``resamples`` is the restart budget, not the number of
-restarts run.
+0; a seed that is not a non-negative integer is a usage error, the variable
+only when ``--seed`` is absent).  Commands that write files also write a
+manifest JSON recording the command, the configuration snapshot, the seeds,
+the artifact paths, the elapsed wall time, the software versions, numpy's
+SIMD dispatch of float64 ``exp``, ``log`` and ``log1p`` (null before numpy
+2.0), the usable cores and the git commit of the package's checkout (null
+outside one); JSON results name their manifest, CSV artifacts are named by
+it.  In ``discover`` results, each k's ``resamples`` is the restart budget,
+not the number of restarts run.
 
-Exit codes: 0 success, 2 usage error, 3 I/O error, 4 internal error.
+Exit codes: 0 success, 2 usage error, 3 I/O error, 4 internal error.  An
+``--out`` whose directory is missing exits 3 before the run starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import errno
 import json
 import math
 import os
@@ -49,10 +52,8 @@ from .bounds import (
 from .datagen import (
     CsvFormatError,
     SidecarFormatError,
-    class_probabilities,
-    generate_dataset,
+    random_dataset,
     read_dataset_csv,
-    sample_mechanisms,
     write_dataset_csv,
 )
 from .discovery import DiscoveryConfig, recover_mechanism_count, usable_cores
@@ -66,16 +67,24 @@ EXIT_INTERNAL = 4
 
 def _env_seed(parser: argparse.ArgumentParser) -> int:
     """The METACAUSAL_SEED environment variable, else 0; a value that is not
-    an integer is a usage error."""
+    a non-negative integer is a usage error."""
     text = os.environ.get("METACAUSAL_SEED", "0")
     try:
-        return int(text)
-    except ValueError:
-        parser.error(f"METACAUSAL_SEED must be an integer, got {text!r}")
+        return _seed(text)
+    except argparse.ArgumentTypeError:
+        parser.error(f"METACAUSAL_SEED must be a non-negative integer, got {text!r}")
 
 
 def _manifest_path(out: Path) -> Path:
     return out.with_suffix(out.suffix + ".manifest.json")
+
+
+def _check_out_dir(out: Path) -> None:
+    """Raise before the run the error that writing ``out`` would raise after
+    it, when the directory to hold ``out`` is missing or is a file."""
+    if not out.parent.is_dir():
+        code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(out))
 
 
 def _git_sha() -> str | None:
@@ -137,11 +146,20 @@ def _write_csv(rows: list[dict], stream) -> None:
         writer.writerows(rows)
 
 
+def _write_rows(rows: list[dict], args, command: str, config: dict) -> None:
+    """Write ``rows`` as CSV to ``--out``, with its manifest, else to stdout."""
+    if not args.out:
+        _write_csv(rows, sys.stdout)
+        return
+    out = Path(args.out)
+    with out.open("w", newline="", encoding="utf-8") as f:
+        _write_csv(rows, f)
+    _write_manifest(out, command, config, [out.name], args)
+    print(f"wrote {out} ({len(rows)} rows)")
+
+
 def cmd_gen(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    mechs = sample_mechanisms(args.k, rng)
-    probs = class_probabilities(args.k, args.dev)
-    dataset = generate_dataset(mechs, probs, rng, n_per_class_avg=args.n, seed=args.seed)
+    dataset = random_dataset(args.k, args.dev, args.seed, n_per_class_avg=args.n)
     out = Path(args.out)
     write_dataset_csv(dataset, out)
     manifest = _write_manifest(
@@ -179,17 +197,7 @@ def cmd_discover(args) -> int:
                 "passed": diag.passed,
                 "log_likelihood": diag.state.log_likelihood,
                 "mechanisms": [m.to_json_dict() for m in diag.state.mechanisms],
-                "ad_tests": [
-                    None
-                    if r is None
-                    else {
-                        "statistic": r.statistic,
-                        "critical_value": r.critical_value,
-                        "passed": r.passed,
-                        "n": r.n,
-                    }
-                    for r in diag.ad_results
-                ],
+                "ad_tests": [None if r is None else dataclasses.asdict(r) for r in diag.ad_results],
             }
             for k, diag in result.per_k.items()
         },
@@ -245,20 +253,8 @@ def cmd_reproduce(args) -> int:
         3: lambda: reproduce.table3_rows(**measured),
         4: lambda: reproduce.table4_rows(**measured),
     }[args.table]()
-    if args.out:
-        out = Path(args.out)
-        with out.open("w", newline="", encoding="utf-8") as f:
-            _write_csv(rows, f)
-        _write_manifest(
-            out,
-            f"reproduce {args.table}",
-            {"scale": args.scale, "k": args.k, "dev": args.dev},
-            [out.name],
-            args,
-        )
-        print(f"wrote {out}")
-    else:
-        _write_csv(rows, sys.stdout)
+    config = {"scale": args.scale, "k": args.k, "dev": args.dev}
+    _write_rows(rows, args, f"reproduce {args.table}", config)
     return EXIT_OK
 
 
@@ -372,17 +368,10 @@ _SIMULATORS = {
 
 def cmd_simulate(args) -> int:
     rows = _SIMULATORS[args.system](args, np.random.default_rng(args.seed))
-    if args.out:
-        out = Path(args.out)
-        with out.open("w", newline="", encoding="utf-8") as f:
-            _write_csv(rows, f)
-        config = {"steps": args.steps}
-        if args.system == "stress":
-            config.update(s0=args.s0, ext_schedule=args.ext_schedule)
-        _write_manifest(out, f"simulate {args.system}", config, [out.name], args)
-        print(f"wrote {out} ({len(rows)} rows)")
-    else:
-        _write_csv(rows, sys.stdout)
+    config = {"steps": args.steps}
+    if args.system == "stress":
+        config.update(s0=args.s0, ext_schedule=args.ext_schedule)
+    _write_rows(rows, args, f"simulate {args.system}", config)
     return EXIT_OK
 
 
@@ -411,6 +400,7 @@ _confidence = _checked(float, lambda c: 0.0 < c < 1.0, "confidence must lie in (
 _positive_int = _checked(int, lambda n: n >= 1, "expected an integer >= 1")
 _unit_level = _checked(float, lambda s: 0.0 <= s <= 1.0, "level must lie in [0, 1]")
 _positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "expected a positive finite number")
+_seed = _checked(int, lambda s: s >= 0, "expected a non-negative integer")
 
 
 def _deviations(text: str) -> list[float]:
@@ -426,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed",
-        type=int,
+        type=_seed,
         default=None,
         help="master seed (default: METACAUSAL_SEED env var, then 0)",
     )
@@ -512,6 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         args.seed = _env_seed(parser)
     args.started = perf_counter()
     try:
+        if getattr(args, "out", None):
+            _check_out_dir(Path(args.out))
         return args.fn(args)
     except SystemExit:
         raise

@@ -109,6 +109,10 @@ class DiscoveryConfig:
     def __post_init__(self) -> None:
         if self.k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {self.k_max}")
+        if not 0.0 <= self.max_class_dev < 1.0:  # also rejects NaN
+            raise ValueError(f"max_class_dev must lie in [0, 1), got {self.max_class_dev}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.resample_mode not in ("theoretical", "empirical"):
             raise ValueError(f"unknown resample mode {self.resample_mode!r}")
         top = max(reference_values.MECHANISM_COUNTS)
@@ -165,21 +169,68 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+class _TaskPool:
+    """Runs ``fn(*held, task)`` for each task of each :meth:`map` call.
+
+    A call runs here when it asks not to fan out, when fewer than two
+    ``workers`` are given, or inside a worker process, so pools never nest.
+    Otherwise it runs over one process pool of ``workers`` processes, opened
+    at the first call that fans out and kept for every later one.  The
+    pool's initializer gives each worker ``fn`` and its own copy of ``held``
+    as it stands then, so a task carries only itself.  Use it in a ``with``
+    block: the pool is shut down, its pending tasks cancelled and its
+    workers joined when the block ends, whether it returns or raises.
+    """
+
+    def __init__(self, fn, workers: int, held: tuple = ()) -> None:
+        self._fn = fn
+        self._workers = workers
+        self._held = held
+        self._pool: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> _TaskPool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def map(self, tasks: list, chunksize: int = 1, fan_out: bool = True) -> list:
+        """``[fn(*held, t) for t in tasks]``, in task order."""
+        if not fan_out or self._workers < 2 or multiprocessing.parent_process() is not None:
+            return [self._fn(*self._held, t) for t in tasks]
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._workers, initializer=_start_worker, initargs=(self._fn, self._held)
+            )
+        return list(self._pool.map(_run_in_worker, tasks, chunksize=chunksize))
+
+
+# The function and held arguments of the pool a worker process serves; set by
+# the pool's initializer in the worker process only.
+_worker: tuple | None = None
+
+
+def _start_worker(fn, held: tuple) -> None:
+    global _worker
+    _worker = fn, held
+
+
+def _run_in_worker(task):
+    fn, held = _worker
+    return fn(*held, task)
+
+
 def map_tasks(fn, tasks: list, workers: int, chunksize: int = 1) -> list:
     """``[fn(t) for t in tasks]``, over a pool of at most ``workers`` processes.
 
     Runs in-process when one worker would do, and always inside a worker
     process, so pools never nest.  The pool never outnumbers the tasks: with
     the fork start method every worker is started at the first submit,
-    whatever the task count.  The pool lives for this one call; the restart
-    stages of a discovery search share one pool instead (see
-    :class:`_Search`).
+    whatever the task count.  The pool lives for this one call.
     """
-    workers = min(workers, len(tasks))
-    if workers <= 1 or multiprocessing.parent_process() is not None:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+    with _TaskPool(fn, min(workers, len(tasks))) as pool:
+        return pool.map(tasks, chunksize)
 
 
 def _run_restarts(
@@ -221,55 +272,10 @@ def _run_restarts(
     return outcomes
 
 
-# The dataset and slope-order pair of the search a pool worker serves; set by
-# the pool's initializer in the worker process only.
-_held: tuple[Dataset, tuple[dict, dict]] | None = None
-
-
-def _hold(data: Dataset) -> None:
-    global _held
-    _held = (data, ({}, {}))
-
-
-def _run_held(task) -> list[tuple[tuple, float] | None]:
-    return _run_restarts(*_held, task)
-
-
-class _Search:
-    """The restart stages of one discovery search on one dataset.
-
-    Slices run here share one slope-order pair.  The first stage that fans
-    out opens one process pool, of one worker per usable core, for the rest
-    of the search: each worker receives the dataset once, from the pool's
-    initializer, and keeps its own order pair for every slice of every stage
-    it runs, so a task carries only ``(k, children)``.  Use it in a ``with``
-    block: the pool is shut down, and its workers joined, when the block
-    ends, whether the search returns or raises.
-    """
-
-    def __init__(self, data: Dataset) -> None:
-        self._data = data
-        self._orders: tuple[dict, dict] = ({}, {})
-        self._pool: ProcessPoolExecutor | None = None
-
-    def __enter__(self) -> _Search:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
-
-    def run(self, k: int, slices: list, workers: int) -> list[list]:
-        """The outcomes of each slice of children, in order; over the pool
-        when ``workers`` >= 2 outside a worker process, else here."""
-        if workers < 2 or multiprocessing.parent_process() is not None:
-            return [_run_restarts(self._data, self._orders, (k, s)) for s in slices]
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=usable_cores(), initializer=_hold, initargs=(self._data,)
-            )
-        return list(self._pool.map(_run_held, [(k, s) for s in slices]))
+def _search_pool(data: Dataset) -> _TaskPool:
+    """One search on ``data``: each process holds the dataset and its own
+    slope-order pair for every ``(k, children)`` task it runs."""
+    return _TaskPool(_run_restarts, usable_cores(), (data, ({}, {})))
 
 
 def lo_ransac_best(
@@ -278,7 +284,7 @@ def lo_ransac_best(
     n_resamples: int,
     rng: np.random.Generator,
     *,
-    _search: _Search | None = None,
+    _search: _TaskPool | None = None,
 ) -> MixtureState:
     """Best-of-``n_resamples`` locally optimized restarts.
 
@@ -317,9 +323,9 @@ def lo_ransac_best(
     workers = min(usable_cores(), n_resamples // _MIN_RESTARTS_PER_WORKER) if k > 1 else 1
     n_slices = min(n_resamples, workers * _SLICES_PER_WORKER) if workers >= 2 else 1
     cuts = [i * n_resamples // n_slices for i in range(n_slices + 1)]
-    slices = [children[a:b] for a, b in zip(cuts, cuts[1:])]
-    with _Search(data) if _search is None else nullcontext(_search) as search:
-        outcomes = search.run(k, slices, workers)
+    tasks = [(k, children[a:b]) for a, b in zip(cuts, cuts[1:])]
+    with _search_pool(data) if _search is None else nullcontext(_search) as search:
+        outcomes = search.map(tasks, fan_out=workers >= 2)
     best = None
     for outcome in chain.from_iterable(outcomes):
         if outcome is not None and (best is None or outcome[1] > best[1]):
@@ -389,7 +395,7 @@ def recover_mechanism_count(data: Dataset, config: DiscoveryConfig) -> Discovery
     per_k: dict[int, KDiagnostics] = {}
     if np.all(data.x == data.x[0]):
         return DiscoveryResult(0, per_k)
-    with _Search(data) as search:
+    with _search_pool(data) as search:
         for k in range(1, config.k_max + 1):
             if data.m < 2 * k:
                 break

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -60,11 +61,12 @@ class TestGen:
         assert manifest["master_seed"] == 7
 
     def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("METACAUSAL_SEED", "abc")
-        result = run_cli(["gen", "--k", "1", "--out", "env.csv"], tmp_path)
-        assert result.returncode == 2
-        assert "METACAUSAL_SEED" in result.stderr
-        assert not (tmp_path / "env.csv").exists()
+        for text in ("abc", "-5"):
+            monkeypatch.setenv("METACAUSAL_SEED", text)
+            result = run_cli(["gen", "--k", "1", "--out", "env.csv"], tmp_path)
+            assert result.returncode == 2
+            assert f"METACAUSAL_SEED must be a non-negative integer, got {text!r}" in result.stderr
+            assert not (tmp_path / "env.csv").exists()
 
     def test_bad_env_seed_ignored_under_seed_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("METACAUSAL_SEED", "abc")
@@ -385,6 +387,50 @@ class TestDrawnBadValues:
             build_parser().parse_args([*prefix, f"{flag}={value}"])
         assert exit_info.value.code == 2
         assert f"argument {flag}:" in err.getvalue()
+
+
+# A short run of each command that takes --seed and --out.
+_SEEDED = {
+    "gen": ["gen", "--k", "1"],
+    "discover": ["discover", "--data", "d.csv"],
+    "reproduce": ["reproduce", "3", "--scale", "0.002", "--k", "1", "--dev", "0.0"],
+    "simulate": ["simulate", "--system", "tag", "--steps", "5"],
+}
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the run started")
+
+
+# Per command, a patch that makes its work raise.
+_NO_WORK = {
+    "gen": lambda mp: mp.setattr(cli, "random_dataset", _never),
+    "discover": lambda mp: mp.setattr(cli, "recover_mechanism_count", _never),
+    "reproduce": lambda mp: mp.setattr(reproduce, "table3_rows", _never),
+    "simulate": lambda mp: mp.setitem(cli._SIMULATORS, "tag", _never),
+}
+
+
+@pytest.mark.parametrize("command", _SEEDED)
+def test_negative_seed_is_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*_SEEDED[command], "--seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parent, code", [("missing", errno.ENOENT), ("file", errno.ENOTDIR)])
+@pytest.mark.parametrize("command", _SEEDED)
+def test_missing_out_dir_fails_before_the_run(tmp_path, monkeypatch, capsys, command, parent, code):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--k", "1", "--n", "30", "--out", "d.csv"]) == 0
+    (tmp_path / "file").write_text("")
+    _NO_WORK[command](monkeypatch)
+    out = tmp_path / parent / "out.csv"
+    capsys.readouterr()
+    assert main([*_SEEDED[command], "--out", str(out)]) == 3
+    # The message the write would have raised after the run.
+    assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
 
 
 class TestReproduce:

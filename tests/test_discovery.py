@@ -40,6 +40,11 @@ class TestConfig:
             DiscoveryConfig(resample_mode="magic")
         with pytest.raises(ValueError):
             DiscoveryConfig(k_max=5)  # reference rates stop at k = 4
+        for dev in (1.5, -0.1, math.nan):
+            with pytest.raises(ValueError, match=f"got {dev}"):
+                DiscoveryConfig(max_class_dev=dev)
+        with pytest.raises(ValueError, match="got -1"):
+            DiscoveryConfig(master_seed=-1)
 
     def test_kmax_beyond_reference_rates_needs_rates_or_bound(self):
         assert DiscoveryConfig(k_max=5, resample_mode="theoretical").k_max == 5
@@ -326,6 +331,34 @@ class TestRestartFanOut:
         assert pools == []
         assert calls["n"] == 1
         assert _bits(got) == _bits(_serial_best(data, 1, 16, np.random.default_rng(15)))
+
+
+def _fail_on_odd(n):
+    if n % 2:
+        raise FloatingPointError(f"task {n} failed")
+    return n
+
+
+def _map_in_child(tasks):
+    return map_tasks(_fail_on_odd, tasks, 2)
+
+
+@pytest.mark.skipif(discovery.usable_cores() < 2, reason="needs two usable cores")
+class TestMapTasks:
+    def test_worker_error_reraises_and_leaves_no_worker(self):
+        with pytest.raises(FloatingPointError, match="task 3 failed"):
+            map_tasks(_fail_on_odd, [0, 2, 3, 4, 6], 2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_call_in_a_worker_runs_there(self, monkeypatch):
+        # The forked child inherits the patch, so a pool there would raise.
+        monkeypatch.setattr(discovery, "ProcessPoolExecutor", _NoPool)
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            assert pool.submit(_map_in_child, [0, 2, 4]).result(timeout=60) == [0, 2, 4]
 
 
 def _count_runs(monkeypatch):

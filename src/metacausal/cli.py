@@ -21,7 +21,8 @@ it.  In ``discover`` results, each k's ``resamples`` is the restart budget,
 not the number of restarts run.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 internal error.  An
-``--out`` whose directory is missing exits 3 before the run starts.
+``--out`` whose directory is missing exits 3 before the run starts, after
+the checks of the flags.
 """
 
 from __future__ import annotations
@@ -173,9 +174,9 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_discover(args) -> int:
+def _discovery_config(args) -> DiscoveryConfig:
     try:
-        config = DiscoveryConfig(
+        return DiscoveryConfig(
             k_max=args.kmax,
             max_class_dev=args.dev,
             resample_mode=args.mode,
@@ -183,8 +184,11 @@ def cmd_discover(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(_usage(str(exc))) from exc
+
+
+def cmd_discover(args) -> int:
     dataset = read_dataset_csv(Path(args.data))
-    result = recover_mechanism_count(dataset, config)
+    result = recover_mechanism_count(dataset, args.config)
     out = Path(args.out)
     payload = {
         "k_hat": result.k_hat,
@@ -500,6 +504,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.seed is None:
         args.seed = _env_seed(parser)
+    if args.command == "discover":  # a usage error comes before any I/O error
+        args.config = _discovery_config(args)
     args.started = perf_counter()
     try:
         if getattr(args, "out", None):

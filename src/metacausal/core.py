@@ -19,7 +19,6 @@ static table from context values to states (``reduction_table``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
@@ -49,7 +48,7 @@ NO_EDGE_SYMBOL = "⊥"  # ⊥, reserved for edge absence
 
 
 class DomainError(ValueError):
-    """An environment state outside the model's state space."""
+    """An environment state outside the model's state space, or a label outside its type domain."""
 
 
 class NoConsistentStateError(ValueError):
@@ -124,26 +123,9 @@ class MetaCausalState:
     def edge_present(self, i: int, j: int) -> bool:
         return not self.entries[i][j].is_no_edge
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "types": [[t.label for t in row] for row in self.entries]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), ensure_ascii=False)
-
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[TypeLabel | str]]) -> "MetaCausalState":
         return cls(tuple(tuple(_as_label(t) for t in row) for row in rows))
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "MetaCausalState":
-        state = cls.from_rows(payload["types"])
-        if state.n != payload.get("n", state.n):
-            raise ValueError("declared size does not match the type matrix")
-        return state
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetaCausalState":
-        return cls.from_json_dict(json.loads(text))
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(t.label for t in row) for row in self.entries) + "]"
@@ -159,16 +141,14 @@ def edge_present(state: MetaCausalState, i: int, j: int) -> bool:
 
 @dataclass(frozen=True)
 class MediationProcess:
-    """Environment: an opaque state space with a transition and an abstraction.
+    """Environment: an opaque state space with a transition.
 
     ``transition(state, rng)`` advances the environment one step; randomized
     processes draw from ``rng`` (pass None for deterministic ones).
-    ``abstraction`` maps an environment state to the observed variable
-    values; ``validate`` is the state-space membership test.
+    ``validate`` is the state-space membership test.
     """
 
     transition: Callable[[Any, np.random.Generator | None], Any]
-    abstraction: Callable[[Any], Any] = lambda s: s
     validate: Callable[[Any], bool] = lambda s: True
 
 
@@ -221,27 +201,39 @@ class MetaCausalModel:
 
     Machine states are type matrices, the input alphabet is the environment
     state space, and the transition advances the environment and
-    re-identifies the types.  ``candidate_states`` supports trace
-    inference: it maps a time-ordered tuple of observations (abstracted
-    states) to the set of consistent meta-causal states.
+    re-identifies the types.  The identification function fixes the
+    number of variables.  ``candidate_states`` supports trace inference: it
+    maps a time-ordered tuple of observations to the set of consistent
+    meta-causal states, and is the one place that says what an observation
+    is.
     """
 
-    n: int
     type_domain: TypeDomain
     process: MediationProcess
     id_fn: IdentificationFunction
     candidate_states: Callable[[tuple], frozenset[MetaCausalState]] | None = None
 
-    def __post_init__(self) -> None:
-        if self.id_fn.n != self.n:
-            raise ValueError("identification function size does not match the model")
+    @property
+    def n(self) -> int:
+        return self.id_fn.n
+
+
+def _identify(model: MetaCausalModel, s: Any) -> MetaCausalState:
+    """The state identified at ``s``; a label outside the type domain raises DomainError."""
+    state = model.id_fn.state_of(s)
+    for i, row in enumerate(state.entries):
+        for j, label in enumerate(row):
+            if label not in model.type_domain:
+                domain = ", ".join(map(str, model.type_domain))
+                raise DomainError(f"label {label} at ({i}, {j}) is outside the type domain {{{domain}}}")
+    return state
 
 
 def actual_state(model: MetaCausalModel, s: Any) -> MetaCausalState:
     """The meta-causal state identified at environment state ``s``."""
     if not model.process.validate(s):
         raise DomainError(f"state {s!r} is outside the model's state space")
-    return model.id_fn.state_of(s)
+    return _identify(model, s)
 
 
 def step(
@@ -261,7 +253,7 @@ def step(
     if not model.process.validate(s):
         raise DomainError(f"state {s!r} is outside the model's state space")
     s_next = model.process.transition(s, rng)
-    return model.id_fn.state_of(s_next), s_next
+    return _identify(model, s_next), s_next
 
 
 def infer_state(
@@ -269,9 +261,10 @@ def infer_state(
 ) -> MetaCausalState | Ambiguous:
     """Current meta-causal state from a time-ordered observation sequence.
 
-    Observation sequences act like homing inputs for the machine: when they
-    pin down the state uniquely it is returned; when several states remain
-    consistent the AMBIGUOUS marker is returned.
+    The caller forms the observations; the model's ``candidate_states``
+    reads them.  Observation sequences act like homing inputs for the
+    machine: when they pin down the state uniquely it is returned; when
+    several states remain consistent the AMBIGUOUS marker is returned.
 
     Raises
     ------

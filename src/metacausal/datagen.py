@@ -97,8 +97,11 @@ class Dataset:
     generator: GeneratorInfo | None = None
 
     def __post_init__(self) -> None:
+        points = np.asarray(self.points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValueError(f"points must have shape (m, 2), got {points.shape}")
         # Column-major, so that x and y are contiguous views.
-        self.points = np.asfortranarray(np.asarray(self.points, dtype=float).reshape(-1, 2))
+        self.points = np.asfortranarray(points)
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
             if len(self.labels) != len(self.points):
@@ -280,7 +283,7 @@ def read_dataset_csv(path: str | Path) -> Dataset:
             problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise SidecarFormatError(f"malformed sidecar {sidecar}: {problem}") from exc
     return Dataset(
-        np.array(points, dtype=float).reshape(-1, 2),
+        np.array(points, dtype=float),
         np.array(labels, dtype=int) if labels else None,
         generator,
     )

@@ -93,9 +93,11 @@ def init_from_pairs(points) -> tuple[MechanismParams, ...]:
     DegeneratePairError
         If a pair is vertical (equal x); the caller should resample.
     ValueError
-        If the points do not form a positive, even number of rows.
+        If the points are not an (m, 2) array with m positive and even.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"seed points must have shape (2k, 2), got {pts.shape}")
     if len(pts) < 2 or len(pts) % 2 != 0:
         raise ValueError("need 2k seed points")
     mechs = []

@@ -163,6 +163,7 @@ def _encode(state: FollowerState, i: int, j: int) -> TypeLabel:
 
 
 def _candidates(observations: tuple) -> frozenset[MetaCausalState]:
+    """States consistent with a trace of (a_pos, b_pos) observations."""
     if len(observations) < MIN_TRACE:
         return frozenset({EDGE_PRESENT_STATE, EDGE_ABSENT_STATE})
     trace = np.asarray(observations, dtype=float).reshape(-1, 2)
@@ -174,11 +175,9 @@ def _candidates(observations: tuple) -> frozenset[MetaCausalState]:
 def follower_model() -> MetaCausalModel:
     """The follower scenario packaged as a meta-causal model."""
     return MetaCausalModel(
-        n=2,
         type_domain=FOLLOWER_DOMAIN,
         process=MediationProcess(
             transition=follower_step,
-            abstraction=lambda s: (s.a_pos, s.b_pos),
             validate=lambda s: isinstance(s, FollowerState),
         ),
         id_fn=IdentificationFunction(n=2, pair_encoder=_encode),

@@ -130,11 +130,9 @@ def locks_model() -> MetaCausalModel:
     context with a fixed type matrix.
     """
     return MetaCausalModel(
-        n=3,
         type_domain=LOCKS_DOMAIN,
         process=MediationProcess(
             transition=lambda s, rng=None: s,
-            abstraction=lambda s: (s.lock1.value, s.lock2.value, s.door.value),
             validate=lambda s: isinstance(s, LocksState),
         ),
         id_fn=IdentificationFunction(

@@ -165,13 +165,9 @@ def stress_model() -> MetaCausalModel:
     def validate(state) -> bool:
         return isinstance(state, StressState)
 
-    def abstraction(state: StressState):
-        return (state.s, state.ext)
-
     return MetaCausalModel(
-        n=2,
         type_domain=STRESS_DOMAIN,
-        process=MediationProcess(transition=transition, abstraction=abstraction, validate=validate),
+        process=MediationProcess(transition=transition, validate=validate),
         id_fn=_ID_FN,
         candidate_states=stress_candidates,
     )

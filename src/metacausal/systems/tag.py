@@ -206,12 +206,12 @@ def initial_tag_state(rng: np.random.Generator) -> TagState:
 
 
 def tag_observe(state: TagState) -> TagObservation:
-    """Abstraction: positions and velocities; the chaser flag stays latent."""
+    """What an observer sees of ``state``: positions and velocities; the chaser flag stays latent."""
     return TagObservation(state.a_pos, state.b_pos, state.a_vel, state.b_vel)
 
 
 def tag_candidates(observations: tuple) -> frozenset[MetaCausalState]:
-    """States consistent with a trace of observations.
+    """States consistent with a trace of observations (TagObservation or TagState records).
 
     Two consecutive observations give displacements, which identify the
     state uniquely.  One observation with velocities does the same.  One
@@ -238,11 +238,9 @@ def _encode(state: TagState, i: int, j: int) -> TypeLabel:
 def tag_model() -> MetaCausalModel:
     """The pursuit game packaged as a meta-causal model."""
     return MetaCausalModel(
-        n=2,
         type_domain=TAG_DOMAIN,
         process=MediationProcess(
             transition=tag_step,
-            abstraction=tag_observe,
             validate=lambda s: isinstance(s, TagState),
         ),
         id_fn=IdentificationFunction(n=2, pair_encoder=_encode),

@@ -433,6 +433,18 @@ def test_missing_out_dir_fails_before_the_run(tmp_path, monkeypatch, capsys, com
     assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--kmax", "0"], "k_max must be >= 1, got 0"), (["--kmax", "5"], "reference rates stop at k = 4")],
+)
+def test_discover_usage_error_comes_before_missing_out_dir(tmp_path, monkeypatch, capsys, flags, message):
+    _NO_WORK["discover"](monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["discover", "--data", "d.csv", *flags, "--out", str(tmp_path / "missing" / "r.json")])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 class TestReproduce:
     def test_table2_matches_reference_within_one(self, capsys):
         assert main(["reproduce", "2"]) == 0

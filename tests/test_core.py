@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -30,7 +28,6 @@ DOMAIN = TypeDomain((POS, NEG, NO_EDGE))
 def _toy_model(encoder, candidates=None, transition=None):
     """2-variable model over integer environment states."""
     return MetaCausalModel(
-        n=2,
         type_domain=DOMAIN,
         process=MediationProcess(
             transition=transition or (lambda s, rng=None: s + 1),
@@ -78,12 +75,6 @@ class TestMetaCausalState:
         assert a == b
         assert hash(a) == hash(b)
 
-    def test_json_round_trip(self):
-        state = MetaCausalState.from_rows([["⊥", "+"], ["-", "⊥"]])
-        payload = json.loads(state.to_json())
-        assert payload == {"n": 2, "types": [["⊥", "+"], ["-", "⊥"]]}
-        assert MetaCausalState.from_json(state.to_json()) == state
-
     def test_edge_present(self):
         state = MetaCausalState.from_rows([["⊥", "+"], ["⊥", "⊥"]])
         assert edge_present(state, 0, 1)
@@ -95,6 +86,23 @@ class TestMetaCausalState:
     def test_all_no_edge_state(self):
         state = MetaCausalState.from_rows([["⊥"] * 2] * 2)
         assert not any(edge_present(state, i, j) for i in range(2) for j in range(2))
+
+
+class TestModelParts:
+    def test_size_comes_from_the_identification_function(self):
+        model = _toy_model(_sign_encoder)
+        assert model.n == model.id_fn.n == 2
+        with pytest.raises(TypeError):
+            MetaCausalModel(
+                n=2,
+                type_domain=DOMAIN,
+                process=model.process,
+                id_fn=model.id_fn,
+            )
+
+    def test_process_has_no_abstraction(self):
+        with pytest.raises(TypeError):
+            MediationProcess(transition=lambda s, rng=None: s, abstraction=lambda s: s)
 
 
 class TestActualStateAndStep:
@@ -129,6 +137,15 @@ class TestActualStateAndStep:
         t0 = actual_state(model, 4)
         t1, s1 = step(model, t0, 4)
         assert (t1, s1) == (t0, 4)
+
+    def test_label_outside_the_domain_raises(self):
+        model = _toy_model(lambda s, i, j: TypeLabel("?") if (i, j) == (1, 0) else NO_EDGE)
+        message = r"label \? at \(1, 0\) is outside the type domain \{\+, -, ⊥\}"
+        with pytest.raises(DomainError, match=message):
+            actual_state(model, 0)
+        t0 = _toy_model(_sign_encoder).id_fn.state_of(0)
+        with pytest.raises(DomainError, match=message):
+            step(model, t0, 0)
 
     def test_step_checks_matrix_shape(self):
         model = _toy_model(_sign_encoder)

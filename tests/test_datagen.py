@@ -30,6 +30,17 @@ def _drawn_dataset(data, points, labelled):
     return Dataset(np.array(points), labels)
 
 
+class TestDataset:
+    @pytest.mark.parametrize("points", [np.arange(12.0).reshape(4, 3), np.arange(8.0), np.zeros((2, 2, 2))])
+    def test_points_must_be_two_columns(self, points):
+        with pytest.raises(ValueError, match=r"shape \(m, 2\)") as info:
+            Dataset(points)
+        assert str(points.shape) in str(info.value)
+
+    def test_empty_two_column_dataset_is_valid(self):
+        assert Dataset(np.empty((0, 2))).m == 0
+
+
 class TestClassProbabilities:
     def test_k4_reference(self):
         assert class_probabilities(4, 0.2) == pytest.approx([0.3, 0.3, 0.2, 0.2])

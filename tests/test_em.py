@@ -48,6 +48,11 @@ class TestInitFromPairs:
         mechs = init_from_pairs([(0, 1), (1, 3)])
         assert mechs == (MechanismParams(2.0, 1.0, 1.0, Direction.XY),)
 
+    @pytest.mark.parametrize("points", [np.arange(8.0), np.arange(12.0).reshape(4, 3), np.zeros((2, 2, 2))])
+    def test_points_must_be_two_columns(self, points):
+        with pytest.raises(ValueError, match=r"seed points must have shape \(2k, 2\)"):
+            init_from_pairs(points)
+
     def test_vertical_pair_signals_resample(self):
         with pytest.raises(DegeneratePairError):
             init_from_pairs([(0, 0), (0, 1)])

@@ -14,6 +14,7 @@ from metacausal.core import (
 from metacausal.systems.follower import (
     EDGE_ABSENT_STATE,
     EDGE_PRESENT_STATE,
+    FollowerState,
     Policy,
     follower_attribution,
     follower_identify,
@@ -47,6 +48,7 @@ from metacausal.systems.tag import (
     ESCAPING,
     TagObservation,
     TagState,
+    initial_tag_state,
     run_episode,
     tag_identify,
     tag_model,
@@ -367,3 +369,23 @@ class TestLocks:
         model = locks_model()
         probes = [LocksState(l1, l2) for l1 in Lock for l2 in Lock]
         assert is_reducible(model, probes)
+
+
+@pytest.mark.parametrize(
+    "model, n, start",
+    [
+        (stress_model(), 2, lambda rng: StressState(0.8, ext=0.3)),
+        (tag_model(), 2, initial_tag_state),
+        (follower_model(), 2, lambda rng: FollowerState(0.0, 2.0, Policy.FOLLOWING)),
+        (follower_model(), 2, lambda rng: FollowerState(0.0, 2.0, Policy.STANDING_STILL)),
+        (locks_model(), 3, lambda rng: LocksState(lock2=Lock.OPEN)),
+    ],
+)
+def test_system_models_stay_in_their_domains(model, n, start):
+    # The size has one source, and step checks every label against the domain.
+    assert model.n == model.id_fn.n == n
+    rng = np.random.default_rng(5)
+    s = start(rng)
+    t = actual_state(model, s)
+    for _ in range(50):
+        t, s = step(model, t, s, rng)

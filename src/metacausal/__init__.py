@@ -19,7 +19,6 @@ from .bounds import (
     expected_success_prob,
     lower_bound_success_prob,
     required_resamples,
-    table2_theoretical,
 )
 from .core import (
     AMBIGUOUS,

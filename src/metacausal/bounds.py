@@ -19,13 +19,10 @@ import math
 import warnings
 from fractions import Fraction
 
-import numpy as np
-
 __all__ = [
     "expected_success_prob",
     "lower_bound_success_prob",
     "required_resamples",
-    "table2_theoretical",
 ]
 
 
@@ -105,21 +102,3 @@ def required_resamples(p: float, confidence: float = 0.95) -> int:
         raise ValueError(f"success probability {p} needs more restarts than a float holds")
     return math.ceil(count)
 
-
-def table2_theoretical(
-    deviations: tuple[float, ...] = (0.0, 0.1, 0.2),
-    n_max: int = 4,
-    confidence: float = 0.95,
-) -> np.ndarray:
-    """Theoretical resample counts over a (deviation x mechanism-count) grid.
-
-    Rows follow ``deviations``, columns run n = 1..n_max.  The defaults
-    reproduce the published worst-case table: (1, 23, 363, 8179),
-    (1, 26, 429, 10659), (1, 30, 526, 14859).
-    """
-    table = np.empty((len(deviations), n_max), dtype=np.int64)
-    for i, d in enumerate(deviations):
-        for n in range(1, n_max + 1):
-            p = lower_bound_success_prob(n, d)
-            table[i, n - 1] = required_resamples(p, confidence)
-    return table

@@ -8,10 +8,11 @@ recovery on a CSV), ``bounds`` (resample-count tables), ``reproduce``
 cores (the CPU affinity, so ``taskset`` limits them) and write the same
 bytes on any core count; no flag sets it.
 
-Every command is reproducible from its flags plus the master seed (flag
-``--seed``, falling back to the METACAUSAL_SEED environment variable, then
-0; a seed that is not a non-negative integer is a usage error, the variable
-only when ``--seed`` is absent).  Commands that write files also write a
+Every command but ``bounds``, which draws no random number and takes no
+seed, is reproducible from its flags plus the master seed (flag ``--seed``,
+falling back to the METACAUSAL_SEED environment variable, then 0; a seed
+that is not a non-negative integer is a usage error, the variable only when
+``--seed`` is absent).  Commands that write files also write a
 manifest JSON recording the command, the configuration snapshot, the seeds,
 the artifact paths, the elapsed wall time, the software versions, numpy's
 SIMD dispatch of float64 ``exp``, ``log`` and ``log1p`` (null before numpy
@@ -291,7 +292,7 @@ def _simulate_stress(args, rng) -> list[dict]:
                 "next_s": nxt.s,
                 "self_type": stress.stress_identify(state.s).label,
                 # cobweb columns: the closed-loop response vs the identity
-                "loop_response": min(1.0, max(0.0, stress.sigmoid_response(0.95 * state.s))),
+                "loop_response": stress.loop_response(state.s),
                 "identity": state.s,
             }
         )
@@ -458,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("empirical", "theoretical"), default="empirical")
     p.set_defaults(fn=cmd_discover)
 
-    p = sub.add_parser("bounds", parents=[common], help="print restart-probability and resample tables")
+    p = sub.add_parser("bounds", help="print restart-probability and resample tables")
     p.add_argument("--n-max", type=_positive_int, default=4)
     p.add_argument("--devs", type=_deviations, default="0.0,0.1,0.2", help="comma-separated deviations")
     p.add_argument("--confidence", type=_confidence, default=0.95)
@@ -502,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
+    if hasattr(args, "seed") and args.seed is None:
         args.seed = _env_seed(parser)
     if args.command == "discover":  # a usage error comes before any I/O error
         args.config = _discovery_config(args)

@@ -5,9 +5,9 @@ entry (i, j) carries the kind of influence variable i currently exerts on
 variable j, with a reserved no-edge label for absent influence.  Such a
 matrix is a meta-causal state.  An environment process plus an
 identification function (which reads the current types off an environment
-state) turn the set of states into a finite-state machine: feeding the
-machine an environment state advances the environment and re-identifies
-the types.
+state, entry by entry and the diagonal included) turn the set of states
+into a finite-state machine: feeding the machine an environment state
+advances the environment and re-identifies the types.
 
 State inference works on observation traces: a model declares how to map a
 window of observed variable values to the set of consistent states, and
@@ -156,23 +156,17 @@ class MediationProcess:
 class IdentificationFunction:
     """Per-pair type encoders: (environment state, i, j) -> type label.
 
-    Diagonal entries are fixed to the no-edge label unless the variable
-    index is declared in ``self_loops``.
+    The encoder types every entry, the diagonal too: a variable without a
+    self-influence gets the no-edge label there from its encoder.
     """
 
     n: int
     pair_encoder: Callable[[Any, int, int], TypeLabel]
-    self_loops: frozenset[int] = frozenset()
-
-    def label(self, s: Any, i: int, j: int) -> TypeLabel:
-        if i == j and i not in self.self_loops:
-            return NO_EDGE
-        return self.pair_encoder(s, i, j)
 
     def state_of(self, s: Any) -> MetaCausalState:
         return MetaCausalState(
             tuple(
-                tuple(self.label(s, i, j) for j in range(self.n))
+                tuple(self.pair_encoder(s, i, j) for j in range(self.n))
                 for i in range(self.n)
             )
         )

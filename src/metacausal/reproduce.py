@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import reference_values as ref
-from .bounds import required_resamples, table2_theoretical
+from .bounds import lower_bound_success_prob, required_resamples
 from .datagen import random_dataset
 from .discovery import DiscoveryConfig, map_tasks, recover_mechanism_count, usable_cores
 from .em import (
@@ -178,19 +178,18 @@ def table1_rows(
         row = {"d": d, "true_k": k, "datasets": sum(tally.values())}
         for col, label in ((0, "none"), (1, "k1"), (2, "k2"), (3, "k3"), (4, "k4")):
             row[f"predicted_{label}"] = tally.get(col, 0)
-            row[f"reference_{label}"] = ref.CONFUSION[d][k][0 if col == 0 else col]
+            row[f"reference_{label}"] = ref.CONFUSION[d][k][col]
         rows.append(row)
     return rows
 
 
 def table2_rows(only_k: int | None = None, only_d: float | None = None) -> list[dict]:
     """Theoretical resample counts plus both published reference columns."""
-    theo = dict(zip(ref.DEVIATIONS, table2_theoretical(ref.DEVIATIONS)))
     return [
         {
             "d": d,
             "k": k,
-            "theoretical": int(theo[d][k - 1]),
+            "theoretical": required_resamples(lower_bound_success_prob(k, d)),
             "reference_theoretical": ref.RESAMPLES_THEORETICAL[d][k - 1],
             "reference_empirical": ref.RESAMPLES_EMPIRICAL[d][k - 1],
         }

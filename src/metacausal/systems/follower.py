@@ -114,46 +114,48 @@ def simulate_follower_trace(
     return np.asarray(rows)
 
 
-def _displacement_correlation(trace: np.ndarray) -> float:
+def _read_trace(trace) -> tuple[bool, float] | None:
+    """(edge present, displacement correlation) of an (m, 2) trace of
+    (a_pos, b_pos) rows, or None for a trace too short to tell."""
+    trace = np.asarray(trace, dtype=float)
+    if trace.ndim != 2 or trace.shape[1] != 2:
+        raise ValueError(f"a trace is an (m, 2) array of (a_pos, b_pos) rows, got shape {trace.shape}")
+    if len(trace) < MIN_TRACE:
+        return None
     da = np.diff(trace[:, 0])
     db = np.diff(trace[:, 1])
-    if np.std(da) == 0.0 or np.std(db) == 0.0:
-        return 0.0
-    return float(np.corrcoef(da, db)[0, 1])
+    rho = 0.0 if np.std(da) == 0.0 or np.std(db) == 0.0 else float(np.corrcoef(da, db)[0, 1])
+    return abs(rho) > CORRELATION_THRESHOLD, rho
 
 
-def follower_identify(policy: Policy, trace) -> FollowerIdentification:
-    """Identify the meta-causal state from an observed (a, b) trace.
-
-    The edge from B to A is detected by the displacement correlation; the
-    policy argument feeds the attribution record only.  On the meta level
-    the policy is the root cause either way: it establishes the edge under
-    following and removes it under standing still.
-    """
-    trace = np.asarray(trace, dtype=float).reshape(-1, 2)
-    if len(trace) < MIN_TRACE:
-        raise ValueError(f"need at least {MIN_TRACE} observations, got {len(trace)}")
-    rho = _displacement_correlation(trace)
-    present = abs(rho) > CORRELATION_THRESHOLD
+def _identification(present: bool, correlation: float) -> FollowerIdentification:
     return FollowerIdentification(
         state=EDGE_PRESENT_STATE if present else EDGE_ABSENT_STATE,
         edge_present=present,
-        correlation=rho,
+        correlation=correlation,
         meta_root_cause="A_policy",
         classical_root_cause="B_X" if present else "U_A",
     )
+
+
+def follower_identify(policy: Policy, trace) -> FollowerIdentification:
+    """Identify the meta-causal state from an observed (m, 2) trace of (a, b) rows.
+
+    The edge from B to A is detected by the displacement correlation alone;
+    the identification does not read ``policy``.  On the meta level
+    the policy is the root cause either way: it establishes the edge under
+    following and removes it under standing still.
+    """
+    read = _read_trace(trace)
+    if read is None:
+        raise ValueError(f"need at least {MIN_TRACE} observations, got {len(trace)}")
+    return _identification(*read)
 
 
 def follower_attribution(policy: Policy) -> FollowerIdentification:
     """Attribution record straight from the policy (no trace needed)."""
     present = policy is Policy.FOLLOWING
-    return FollowerIdentification(
-        state=EDGE_PRESENT_STATE if present else EDGE_ABSENT_STATE,
-        edge_present=present,
-        correlation=1.0 if present else 0.0,
-        meta_root_cause="A_policy",
-        classical_root_cause="B_X" if present else "U_A",
-    )
+    return _identification(present, 1.0 if present else 0.0)
 
 
 def _encode(state: FollowerState, i: int, j: int) -> TypeLabel:
@@ -164,12 +166,10 @@ def _encode(state: FollowerState, i: int, j: int) -> TypeLabel:
 
 def _candidates(observations: tuple) -> frozenset[MetaCausalState]:
     """States consistent with a trace of (a_pos, b_pos) observations."""
-    if len(observations) < MIN_TRACE:
+    read = _read_trace(observations)
+    if read is None:
         return frozenset({EDGE_PRESENT_STATE, EDGE_ABSENT_STATE})
-    trace = np.asarray(observations, dtype=float).reshape(-1, 2)
-    rho = _displacement_correlation(trace)
-    present = abs(rho) > CORRELATION_THRESHOLD
-    return frozenset({EDGE_PRESENT_STATE if present else EDGE_ABSENT_STATE})
+    return frozenset({_identification(*read).state})
 
 
 def follower_model() -> MetaCausalModel:

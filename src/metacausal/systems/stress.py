@@ -45,6 +45,7 @@ __all__ = [
     "DRIVING",
     "STRESS_DOMAIN",
     "sigmoid_response",
+    "loop_response",
     "stress_step",
     "stress_identify",
     "stress_transition",
@@ -98,6 +99,11 @@ def sigmoid_response(x: float) -> float:
     ) + 0.5
 
 
+def loop_response(s: float) -> float:
+    """The closed loop with no external input: the next level from level ``s``."""
+    return _clip01(sigmoid_response(DECAY * s))
+
+
 def stress_step(state: StressState) -> StressState:
     """One step of the stress dynamics (deterministic)."""
     d = DECAY * _clip01(state.s + EXT_COUPLING * state.ext)
@@ -139,21 +145,14 @@ def _encode(state: StressState, i: int, j: int) -> TypeLabel:
 def stress_candidates(observations: tuple) -> frozenset[MetaCausalState]:
     """States consistent with a trace of observed stress levels.
 
-    The identification depends only on the current level, so the final
-    observation alone pins the state down (homing length 1).  Observations
-    may be bare levels or (level, external) pairs or StressState records.
+    An observation is a stress level in [0, 1].  The identification depends
+    only on the current level, so the final observation alone pins the
+    state down (homing length 1).
     """
-    last = observations[-1]
-    if isinstance(last, StressState):
-        state = last
-    elif isinstance(last, (tuple, list)):
-        state = StressState(s=float(last[0]), ext=float(last[1]))
-    else:
-        state = StressState(s=float(last))
-    return frozenset({_ID_FN.state_of(state)})
+    return frozenset({_ID_FN.state_of(StressState(s=float(observations[-1])))})
 
 
-_ID_FN = IdentificationFunction(n=2, pair_encoder=_encode, self_loops=frozenset({STRESS}))
+_ID_FN = IdentificationFunction(n=2, pair_encoder=_encode)
 
 
 def stress_model() -> MetaCausalModel:
@@ -193,8 +192,7 @@ def basin_boundary() -> float:
     factor, which is why persistence of the amplifying mode needs a margin
     over 0.5.
     """
-    g = lambda s: _clip01(sigmoid_response(DECAY * s)) - s
-    return _bisect(g, RESPONSE_MIDPOINT, 0.6)
+    return _bisect(lambda s: loop_response(s) - s, RESPONSE_MIDPOINT, 0.6)
 
 
 def _bisect(fn, lo: float, hi: float, iters: int = 100) -> float:

@@ -139,8 +139,8 @@ def _identify_from_motion(a_pos, b_pos, a_vel, b_vel) -> MetaCausalState:
     )
 
 
-def tag_identify(prev: TagState, curr: TagState) -> MetaCausalState:
-    """Type matrix read off two consecutive states.
+def tag_identify(prev: TagState | TagObservation, curr: TagState | TagObservation) -> MetaCausalState:
+    """Type matrix read off the positions of two consecutive states or observations.
 
     Each agent's displacement (minimal-image position difference) is dotted
     with the current separation: positive means that agent is closing in
@@ -217,12 +217,9 @@ def tag_candidates(observations: tuple) -> frozenset[MetaCausalState]:
     state uniquely.  One observation with velocities does the same.  One
     position-only observation leaves both role assignments possible.
     """
-    last = observations[-1]
     if len(observations) >= 2:
-        prev = observations[-2]
-        a_vel = torus_delta(prev.a_pos, last.a_pos)
-        b_vel = torus_delta(prev.b_pos, last.b_pos)
-        return frozenset({_identify_from_motion(last.a_pos, last.b_pos, a_vel, b_vel)})
+        return frozenset({tag_identify(observations[-2], observations[-1])})
+    last = observations[-1]
     if last.a_vel is not None and last.b_vel is not None:
         return frozenset(
             {_identify_from_motion(last.a_pos, last.b_pos, last.a_vel, last.b_vel)}

@@ -7,8 +7,8 @@ from metacausal.bounds import (
     expected_success_prob,
     lower_bound_success_prob,
     required_resamples,
-    table2_theoretical,
 )
+from metacausal.reproduce import table2_rows
 
 
 def test_expected_success_prob_reference_values():
@@ -96,16 +96,11 @@ def test_empirical_resamples_rejects_zero_rate():
         required_resamples(0.0)
 
 
-def test_table2_theoretical_matches_reference_within_one():
-    expected = np.array(
-        [
-            [1, 23, 363, 8179],
-            [1, 26, 429, 10659],
-            [1, 30, 526, 14859],
-        ]
-    )
-    got = table2_theoretical()
-    assert np.all(np.abs(got - expected) <= 1)
+def test_table2_rows_match_the_published_theoretical_counts():
+    rows = table2_rows()
+    assert len(rows) == 12
+    for row in rows:
+        assert row["theoretical"] == row["reference_theoretical"], row
 
 
 def test_monte_carlo_bound_soundness():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from metacausal import cli, discovery, reproduce
 from metacausal.cli import build_parser, main
 from metacausal.discovery import usable_cores
+from metacausal.systems import stress
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -288,6 +289,21 @@ class TestBounds:
         with pytest.raises(SystemExit):
             main(["bounds", "--devs", "0.0,1.0"])
 
+    def test_ignores_the_seed_variable(self, tmp_path, monkeypatch):
+        # bounds draws no random number, so a bad METACAUSAL_SEED is not read.
+        plain = run_cli(["bounds", "--n-max", "4"], tmp_path)
+        monkeypatch.setenv("METACAUSAL_SEED", "abc")
+        with_var = run_cli(["bounds", "--n-max", "4"], tmp_path)
+        assert plain.returncode == with_var.returncode == 0
+        assert with_var.stdout == plain.stdout and plain.stdout
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "1"), ("--budget", "3")])
+    def test_takes_no_seed_or_budget(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bounds", flag, value])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -504,6 +520,16 @@ class TestSimulate:
             assert col in header
         first = dict(zip(header, lines[1].split(",")))
         assert first["self_type"] == "+1"
+
+    def test_stress_loop_response_column(self, capsys):
+        # The cobweb column is the closed loop of the stress system itself.
+        assert main(["simulate", "--system", "stress", "--steps", "50", "--s0", "0.3"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        header = lines[0].split(",")
+        assert len(lines) == 51
+        for line in lines[1:]:
+            row = dict(zip(header, line.split(",")))
+            assert row["loop_response"] == repr(stress.loop_response(float(row["s"])))
 
     def test_stress_ext_schedule(self, tmp_path):
         sched = tmp_path / "ext.csv"

@@ -104,6 +104,11 @@ class TestModelParts:
         with pytest.raises(TypeError):
             MediationProcess(transition=lambda s, rng=None: s, abstraction=lambda s: s)
 
+    def test_encoder_alone_types_the_diagonal(self):
+        with pytest.raises(TypeError):
+            IdentificationFunction(n=2, pair_encoder=_sign_encoder, self_loops=frozenset())
+        assert not hasattr(IdentificationFunction, "label")
+
 
 class TestActualStateAndStep:
     def test_actual_state_reads_encoder(self):
@@ -119,6 +124,20 @@ class TestActualStateAndStep:
         model = _toy_model(lambda s, i, j: NO_EDGE)
         state = actual_state(model, 7)
         assert all(state.label(i, j) is NO_EDGE for i in range(2) for j in range(2))
+
+    def test_diagonal_comes_from_the_encoder(self):
+        model = _toy_model(lambda s, i, j: POS if (i, j) == (1, 1) else NO_EDGE)
+        state = actual_state(model, 0)
+        assert state.label(1, 1) == POS
+        assert state.label(0, 0) is NO_EDGE
+
+    def test_diagonal_label_outside_the_domain_raises(self):
+        model = _toy_model(lambda s, i, j: TypeLabel("?") if i == j == 1 else NO_EDGE)
+        message = r"label \? at \(1, 1\) is outside the type domain"
+        with pytest.raises(DomainError, match=message):
+            actual_state(model, 0)
+        with pytest.raises(DomainError, match=message):
+            step(model, _toy_model(_sign_encoder).id_fn.state_of(0), 0)
 
     def test_invalid_state_raises_domain_error(self):
         model = _toy_model(_sign_encoder)

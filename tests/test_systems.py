@@ -34,6 +34,7 @@ from metacausal.systems.stress import (
     SUPPRESSING,
     StressState,
     basin_boundary,
+    loop_response,
     response_fixed_points,
     sigmoid_response,
     stress_identify,
@@ -143,6 +144,10 @@ class TestStressDynamics:
             d2 = (sigmoid_response(x + h) - 2 * sigmoid_response(x) + sigmoid_response(x - h)) / h**2
             assert d2 < 0
 
+    def test_basin_boundary_is_a_fixed_point_of_the_loop(self):
+        b = basin_boundary()
+        assert abs(loop_response(b) - b) <= 1e-12
+
     def test_basin_boundary_between_half_and_0_55(self):
         b = basin_boundary()
         assert 0.5 < b < 0.55
@@ -186,6 +191,14 @@ class TestStressModel:
         model = stress_model()
         inferred = infer_state(model, [0.2])
         assert inferred.label(1, 1) == SUPPRESSING
+
+    def test_observation_is_a_stress_level(self):
+        model = stress_model()
+        with pytest.raises(ValueError):
+            infer_state(model, [1.5])
+        for observation in ((0.2, 0.0), StressState(0.2)):
+            with pytest.raises(TypeError):
+                infer_state(model, [observation])
 
     def test_reducibility_depends_on_probes(self):
         model = stress_model()
@@ -327,6 +340,16 @@ class TestFollower:
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError):
             follower_identify(Policy.FOLLOWING, [(0.0, 1.0)] * 4)
+
+    def test_trace_must_have_two_columns(self):
+        # Three-column rows are not (a, b) pairs; nothing reshapes them into some.
+        observations = [(i, 2 * i, i % 3) for i in range(8)]
+        with pytest.raises(ValueError, match=r"\(8, 3\)"):
+            follower_identify(Policy.FOLLOWING, observations)
+        with pytest.raises(ValueError, match=r"\(8, 3\)"):
+            infer_state(follower_model(), observations)
+        with pytest.raises(ValueError, match=r"\(16,\)"):
+            follower_identify(Policy.FOLLOWING, np.arange(16.0))
 
     def test_model_infer_needs_enough_observations(self):
         model = follower_model()

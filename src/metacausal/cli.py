@@ -520,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, SidecarFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a bug, not a bad input
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -96,9 +96,6 @@ class TypeDomain:
     def __iter__(self):
         return iter(self.labels)
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 @dataclass(frozen=True)
 class MetaCausalState:

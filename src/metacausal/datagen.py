@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .stats import sample_laplace
+from .stats import check_finite, sample_laplace
 
 __all__ = [
     "Direction",
@@ -100,6 +100,7 @@ class Dataset:
         points = np.asarray(self.points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError(f"points must have shape (m, 2), got {points.shape}")
+        check_finite("points", points)
         # Column-major, so that x and y are contiguous views.
         self.points = np.asfortranarray(points)
         if self.labels is not None:

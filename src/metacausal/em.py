@@ -91,7 +91,7 @@ def init_from_pairs(points) -> tuple[MechanismParams, ...]:
     Raises
     ------
     DegeneratePairError
-        If a pair is vertical (equal x); the caller should resample.
+        If a pair has equal x or its slope overflows; the caller resamples.
     ValueError
         If the points are not an (m, 2) array with m positive and even.
     """
@@ -101,15 +101,15 @@ def init_from_pairs(points) -> tuple[MechanismParams, ...]:
     if len(pts) < 2 or len(pts) % 2 != 0:
         raise ValueError("need 2k seed points")
     mechs = []
-    for p0, p1 in zip(pts[0::2], pts[1::2]):
-        dx = p1[0] - p0[0]
+    # Python floats: numpy's IEEE bits, but an overflow gives inf with no warning.
+    for (x0, y0), (x1, y1) in zip(pts[0::2].tolist(), pts[1::2].tolist()):
+        dx = x1 - x0
         if dx == 0.0:
             raise DegeneratePairError("seed pair shares its x value")
-        alpha = (p1[1] - p0[1]) / dx
-        if not np.isfinite(alpha):
+        alpha = (y1 - y0) / dx
+        if not math.isfinite(alpha):
             raise DegeneratePairError("seed pair yields a non-finite slope")
-        beta = p0[1] - alpha * p0[0]
-        mechs.append(MechanismParams(float(alpha), float(beta), 1.0, Direction.XY))
+        mechs.append(MechanismParams(alpha, y0 - alpha * x0, 1.0, Direction.XY))
     return tuple(mechs)
 
 

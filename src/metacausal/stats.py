@@ -126,28 +126,40 @@ def sample_laplace(rng: np.random.Generator, b: float, size=None):
     return -b * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
+def check_finite(name: str, values: np.ndarray) -> None:
+    """Raise ValueError naming ``name`` and the first row of ``values`` (its
+    first entry, when 1-d) that holds a NaN or an infinity."""
+    if not np.isfinite(values).all():
+        row, bad = next((i, v) for i, v in enumerate(np.atleast_1d(values)) if not np.isfinite(v).all())
+        raise ValueError(f"{name} must be finite, got {bad.tolist()} in row {row}")
+
+
+def _checked_weights(weights, like: np.ndarray) -> np.ndarray:
+    """``weights`` shaped like ``like`` (ones when None), checked finite and non-negative."""
+    if weights is None:
+        return np.ones_like(like)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != like.shape:
+        raise ValueError(f"weights must match the data shape {like.shape}, got {w.shape}")
+    check_finite("weights", w)
+    if (w < 0).any():
+        raise ValueError("weights must be non-negative")
+    return w
+
+
 def _check_xyw(xs, ys, weights):
     """The inputs as float arrays, checked, and the largest |x| or |y|."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("xs and ys must be 1-d arrays of equal length")
-    if weights is None:
-        w = np.ones_like(x)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != x.shape:
-            raise ValueError("weights must match the data length")
-        if (w < 0).any():
-            raise ValueError("weights must be non-negative")
+    w = _checked_weights(weights, x)
     top = 0.0
     for name, arr in (("xs", x), ("ys", y)):
         big = float(np.abs(arr).max(initial=0.0))  # NaN when arr holds one
         if not math.isfinite(big):
-            raise ValueError(f"{name} must be finite")
+            check_finite(name, arr)  # raises
         top = max(top, big)
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
     return x, y, w, top
 
 
@@ -318,17 +330,11 @@ def estimate_scale(residuals, weights=None) -> float:
     """Weighted maximum-likelihood Laplace scale: sum w|r| / sum w, floored.
 
     The floor ``B_FLOOR`` keeps downstream log-densities finite when the
-    residuals are (numerically) zero.
+    residuals are (numerically) zero.  A non-finite input raises ValueError.
     """
     r = np.asarray(residuals, dtype=float)
-    if weights is None:
-        w = np.ones_like(r)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != r.shape:
-            raise ValueError("weights must match the residual length")
-        if (w < 0).any():
-            raise ValueError("weights must be non-negative")
+    check_finite("residuals", r)
+    w = _checked_weights(weights, r)
     total = float(w.sum())
     if total <= 0:
         raise ValueError("total weight must be positive")
@@ -374,13 +380,14 @@ def anderson_darling_laplace(residuals) -> ADTestResult:
     Raises
     ------
     ValueError
-        If ``residuals`` is not 1-d.
+        If ``residuals`` is not 1-d or holds a non-finite value.
     InsufficientDataError
         With fewer than ``AD_MIN_POINTS`` residuals.
     """
     r = np.asarray(residuals, dtype=float)
     if r.ndim != 1:
         raise ValueError(f"Anderson-Darling test takes one 1-d sample, got shape {r.shape}")
+    check_finite("residuals", r)
     if len(r) < AD_MIN_POINTS:
         raise InsufficientDataError(
             f"Anderson-Darling test needs >= {AD_MIN_POINTS} residuals, got {len(r)}"

@@ -32,6 +32,7 @@ from ..core import (
     TypeDomain,
     TypeLabel,
 )
+from ..stats import check_finite
 
 __all__ = [
     "Policy",
@@ -115,11 +116,12 @@ def simulate_follower_trace(
 
 
 def _read_trace(trace) -> tuple[bool, float] | None:
-    """(edge present, displacement correlation) of an (m, 2) trace of
+    """(edge present, displacement correlation) of an (m, 2) trace of finite
     (a_pos, b_pos) rows, or None for a trace too short to tell."""
     trace = np.asarray(trace, dtype=float)
     if trace.ndim != 2 or trace.shape[1] != 2:
         raise ValueError(f"a trace is an (m, 2) array of (a_pos, b_pos) rows, got shape {trace.shape}")
+    check_finite("trace", trace)
     if len(trace) < MIN_TRACE:
         return None
     da = np.diff(trace[:, 0])

@@ -195,21 +195,17 @@ def basin_boundary() -> float:
     return _bisect(lambda s: loop_response(s) - s, RESPONSE_MIDPOINT, 0.6)
 
 
-def _bisect(fn, lo: float, hi: float, iters: int = 100) -> float:
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(iters):
+def _bisect(fn, lo: float, hi: float) -> float:
+    """A root of ``fn`` between ``lo`` and ``hi``, at whose values ``fn``
+    differs in sign: halve the interval until ``fn`` is exactly 0 at its
+    midpoint or the midpoint equals an end."""
+    lo_positive = fn(lo) > 0
+    while True:
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
-        if fm == 0.0:
+        if fm == 0.0 or mid in (lo, hi):
             return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+        if (fm > 0) == lo_positive:
+            lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)

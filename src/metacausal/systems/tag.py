@@ -169,10 +169,7 @@ def tag_step(state: TagState, rng: np.random.Generator) -> TagState:
         chaser_pos, evader_pos = b, a
     gap = torus_delta(tuple(chaser_pos), tuple(evader_pos))
     dist = float(np.hypot(*gap))
-    if dist < 1e-12:
-        unit = np.array([1.0, 0.0])
-    else:
-        unit = gap / dist
+    unit = np.array([1.0, 0.0]) if dist < 1e-12 else gap / dist
     speed_c = TRUCE_CHASER_SPEED if state.truce > 0 else CHASER_SPEED
     theta = rng.uniform(-JITTER_MAX, JITTER_MAX)
     cos_t, sin_t = math.cos(theta), math.sin(theta)

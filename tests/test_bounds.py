@@ -76,6 +76,21 @@ def test_required_resamples_below_float_resolution_of_one_minus_p():
         required_resamples(5e-324)
 
 
+@pytest.mark.parametrize(
+    "n, d, message",
+    [(0, 0.0, "mechanism count must be >= 1, got 0"), (2, -0.1, "class deviation must be >= 0, got -0.1")],
+)
+def test_lower_bound_rejects_bad_arguments(n, d, message):
+    with pytest.raises(ValueError, match=message):
+        lower_bound_success_prob(n, d)
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, math.nan])
+def test_required_resamples_rejects_confidence_outside_the_open_unit_interval(confidence):
+    with pytest.raises(ValueError, match=f"confidence must lie in .*, got {confidence}"):
+        required_resamples(0.5, confidence)
+
+
 def test_required_resamples_rejects_nonpositive_p():
     with pytest.raises(ValueError):
         required_resamples(0.0)

@@ -449,6 +449,16 @@ def test_missing_out_dir_fails_before_the_run(tmp_path, monkeypatch, capsys, com
     assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
 
 
+@pytest.mark.parametrize("command", _SEEDED)
+def test_a_bug_in_the_run_exits_4(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--k", "1", "--n", "30", "--out", "d.csv"]) == 0
+    _NO_WORK[command](monkeypatch)
+    capsys.readouterr()
+    assert main(_SEEDED[command]) == 4
+    assert capsys.readouterr().err == "internal error: the run started\n"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [(["--kmax", "0"], "k_max must be >= 1, got 0"), (["--kmax", "5"], "reference rates stop at k = 4")],
@@ -541,6 +551,14 @@ class TestSimulate:
         lines = out.read_text().strip().splitlines()
         last = dict(zip(lines[0].split(","), lines[-1].split(",")))
         assert last["self_type"] == "+1"  # external stressors flipped the mode
+
+    def test_stress_ext_schedule_non_numeric_cell_is_io_error(self, tmp_path, capsys):
+        sched = tmp_path / "ext.csv"
+        sched.write_text("ext\n0.9\n\nhigh\n")
+        code = main(["simulate", "--system", "stress", "--steps", "3",
+                     "--ext-schedule", str(sched), "--out", str(tmp_path / "st.csv")])
+        assert code == 3
+        assert "row 4: could not convert string to float: 'high'" in capsys.readouterr().err
 
     def test_stress_manifest_records_the_schedule(self, tmp_path):
         sched = tmp_path / "ext.csv"

@@ -172,6 +172,11 @@ class TestActualStateAndStep:
         with pytest.raises(DomainError):
             step(model, wrong, 0)
 
+    def test_step_rejects_a_state_the_model_rejects(self):
+        model = _toy_model(_sign_encoder)
+        with pytest.raises(DomainError, match="'not-an-int' is outside the model's state space"):
+            step(model, actual_state(model, 0), "not-an-int")
+
 
 class TestInferState:
     def test_unique_candidate_returned(self):
@@ -194,6 +199,9 @@ class TestInferState:
         model = _toy_model(_sign_encoder, candidates=lambda obs: frozenset())
         with pytest.raises(ValueError):
             infer_state(model, [])
+
+    def test_ambiguous_marker_repr(self):
+        assert repr(AMBIGUOUS) == "Ambiguous"
 
 
 class TestReducibility:

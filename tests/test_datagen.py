@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,18 @@ class TestDataset:
     def test_empty_two_column_dataset_is_valid(self):
         assert Dataset(np.empty((0, 2))).m == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_rejected_naming_its_row(self, bad):
+        points = random_dataset(2, 0.0, seed=5).points.copy()
+        points[7, 1] = bad
+        x = points[7, 0]
+        with pytest.raises(ValueError, match=rf"points must be finite, got \[{x}, {bad}\] in row 7"):
+            Dataset(points)
+
+    def test_labels_must_match_the_points(self):
+        with pytest.raises(ValueError, match="labels must match the number of points"):
+            Dataset(np.zeros((3, 2)), labels=[0, 1])
+
 
 class TestClassProbabilities:
     def test_k4_reference(self):
@@ -63,6 +77,10 @@ class TestClassProbabilities:
             class_probabilities(4, 1.0)
         with pytest.raises(ValueError):
             class_probabilities(4, -0.1)
+
+    def test_zero_classes_rejected(self):
+        with pytest.raises(ValueError, match="class count must be >= 1, got 0"):
+            class_probabilities(0, 0.0)
 
 
 class TestSampleMechanisms:
@@ -121,6 +139,11 @@ class TestGenerateDataset:
         mechs = sample_mechanisms(2, rng)
         with pytest.raises(ValueError):
             generate_dataset(mechs, [1.0], rng)
+
+    def test_probs_must_sum_to_one(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="class probabilities must sum to 1"):
+            generate_dataset(sample_mechanisms(2, rng), [0.5, 0.4], rng)
 
     def test_yx_direction_swaps_roles(self):
         mech = MechanismParams(2.0, 1.0, B_FLOOR, Direction.YX)
@@ -200,6 +223,15 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError) as err:
             read_dataset_csv(path)
         assert err.value.row == 3
+
+    def test_blank_row_is_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("x,y\n1.0,2.0\n\n3.0,4.0\n", encoding="utf-8")
+        assert read_dataset_csv(path).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        path.write_text("x,y\n1.0,2.0\n\n3.0,nan\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError) as err:
+            read_dataset_csv(path)
+        assert err.value.row == 4
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_reports_row_number(self, tmp_path, value):

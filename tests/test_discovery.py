@@ -273,6 +273,12 @@ class TestRestartFanOut:
         )
         assert done.stdout.split() == ["1"]
 
+    @pytest.mark.parametrize("count, cores", [(3, 3), (None, 1)])
+    def test_usable_cores_without_an_affinity_call(self, monkeypatch, count, cores):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert discovery.usable_cores() == cores
+
     def test_same_discovery_in_process_and_in_a_worker(self, monkeypatch, pools):
         # In-process each dataset's k = 2 stage (8 restarts) fans out over the
         # search's pool of two workers; inside a map_tasks worker it runs
@@ -553,6 +559,13 @@ class TestRecoverMechanismCount:
         assert not any(d.passed for d in res.per_k.values())
         with pytest.raises(ValueError, match="degenerate"):
             lo_ransac_best(data, 2, 8, np.random.default_rng(seed))
+
+    def test_search_stops_at_the_first_k_the_points_cannot_seed(self):
+        # 3 points seed k = 1 (too few to validate) but not the 4 of k = 2.
+        data = Dataset(np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]]))
+        res = recover_mechanism_count(data, DiscoveryConfig(k_max=2))
+        assert res.k_hat == 0 and list(res.per_k) == [1]
+        assert res.per_k[1].ad_results == (None,)
 
     def test_theoretical_mode_uses_bound_budgets(self):
         ds = random_dataset(1, 0.0, seed=9)

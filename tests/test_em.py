@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,18 @@ class TestInitFromPairs:
     def test_vertical_pair_signals_resample(self):
         with pytest.raises(DegeneratePairError):
             init_from_pairs([(0, 0), (0, 1)])
+
+    def test_overflowing_slope_signals_resample_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneratePairError, match="non-finite slope"):
+                init_from_pairs([(0, 0), (1e-300, 1e300)])
+
+    def test_lines_have_the_bits_of_float64_arithmetic(self):
+        pts = np.random.default_rng(0).uniform(-5.0, 5.0, (40, 2))
+        for mech, p0, p1 in zip(init_from_pairs(pts), pts[0::2], pts[1::2]):
+            alpha = (p1[1] - p0[1]) / (p1[0] - p0[0])
+            assert (mech.alpha, mech.beta) == (alpha, p0[1] - alpha * p0[0])
 
     def test_two_pairs_two_mechanisms(self):
         mechs = init_from_pairs([(0, 0), (1, 1), (0, 5), (1, 4)])
@@ -178,6 +191,24 @@ class TestResponsibilities:
         ds = random_dataset(1, 0.1, seed=3)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
             responsibilities(ds, (mech,))
+
+    def test_needs_a_mechanism(self):
+        with pytest.raises(ValueError, match="need at least one mechanism"):
+            responsibilities(random_dataset(1, 0.0, seed=1), ())
+
+    def test_row_whose_densities_all_overflow_falls_back_to_uniform(self):
+        # |r| / b overflows for both lines, so every log-density of the point
+        # is -inf and its normalising total is NaN.
+        ds = Dataset(np.array([[0.0, 1e303]]))
+        mechs = (MechanismParams(0.0, 0.0, 1e-6), MechanismParams(1.0, 0.0, 1e-6))
+        with pytest.warns(RuntimeWarning) as caught:
+            resp = responsibilities(ds, mechs)
+        assert resp.tolist() == [[0.5, 0.5]]
+        assert sorted(str(w.message) for w in caught) == [
+            "invalid value encountered in subtract",
+            "overflow encountered in divide",
+            "overflow encountered in divide",
+        ]
 
     def test_well_separated_point(self):
         ds = Dataset(np.array([[0.0, 0.0]]))
@@ -416,6 +447,9 @@ class TestCheckConvergence:
     def test_length_mismatch_is_false(self):
         a = MechanismParams(1.0, 0.0, 1.0)
         assert not check_convergence((a,), (a, a))
+
+    def test_flat_line_flipped_has_no_finite_slope(self):
+        assert params_in_frame(MechanismParams(0.0, 1.0, 1.0), Direction.YX) == (math.inf, math.inf)
 
     def test_flipped_frame_same_line_matches(self):
         truth = (MechanismParams(4.0, 2.0, 1.0, Direction.XY),)

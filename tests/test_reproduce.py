@@ -18,6 +18,11 @@ def test_scale_must_be_positive_and_finite(fn, scale):
         fn(1, 0.0, scale=scale)
 
 
+def test_restart_without_a_usable_seed_state_is_not_converged(monkeypatch):
+    monkeypatch.setattr(reproduce, "draw_seed_state", lambda *args: None)
+    assert reproduce._single_restart((2, 0.1, 5)) == (False, 0.0, 0.0)
+
+
 @pytest.fixture
 def map_calls(monkeypatch):
     """The task lists passed to ``reproduce.map_tasks``, one per call; the

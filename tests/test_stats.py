@@ -205,6 +205,10 @@ class TestL1Fit:
             l1_fit(args["xs"], args["ys"], args["weights"])
         assert not isinstance(err.value, DegenerateFitError)
 
+    def test_xs_and_ys_must_be_equal_length_vectors(self):
+        with pytest.raises(ValueError, match="xs and ys must be 1-d arrays of equal length"):
+            l1_fit([0.0, 1.0, 2.0], [0.0, 1.0])
+
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.integers(2, 60),
@@ -459,6 +463,11 @@ class TestEstimateScale:
         with pytest.raises(ValueError):
             estimate_scale([1.0, 2.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_residual_rejected_naming_its_row(self, bad):
+        with pytest.raises(ValueError, match=f"residuals must be finite, got {bad} in row 1"):
+            estimate_scale([1.0, bad, 2.0])
+
     @given(
         st.lists(st.floats(-100, 100), min_size=2, max_size=40),
         st.floats(0.1, 50.0),
@@ -471,10 +480,37 @@ class TestEstimateScale:
             assert scaled == pytest.approx(c * base, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [lambda w: estimate_scale([1.0, 2.0, 4.0], w), lambda w: l1_fit([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], w)],
+    ids=["estimate_scale", "l1_fit"],
+)
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([1.0, 1.0], r"weights must match the data shape \(3,\), got \(2,\)"),
+        ([1.0, -1.0, 1.0], "weights must be non-negative"),
+        ([1.0, 1.0, math.nan], "weights must be finite, got nan in row 2"),
+        ([1.0, math.inf, 1.0], "weights must be finite, got inf in row 1"),
+        ([-math.inf, 1.0, 1.0], "weights must be finite, got -inf in row 0"),
+    ],
+    ids=["shape", "negative", "nan", "inf", "-inf"],
+)
+def test_one_weight_check_for_both_estimators(entry, weights, message):
+    with pytest.raises(ValueError, match=message):
+        entry(weights)
+
+
 class TestAndersonDarling:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             anderson_darling_laplace(np.zeros(19))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_residual_rejected_naming_its_row(self, bad):
+        r = sample_laplace(np.random.default_rng(0), 1.0, 100)
+        with pytest.raises(ValueError, match=f"residuals must be finite, got {bad} in row 100"):
+            anderson_darling_laplace(np.append(r, bad))
 
     def test_batch_rejected_with_its_shape(self):
         with pytest.raises(ValueError, match=r"\(5, 10\)") as err:

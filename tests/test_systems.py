@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,15 @@ class TestStressDynamics:
         with pytest.raises(ValueError):
             StressState(s=0.5, ext=-0.1)
 
+    def test_identify_rejects_a_level_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match="stress level must lie in"):
+            stress_identify(1.5)
+
+    def test_bisection_roots_pinned(self):
+        # Each bisection ends where the function is exactly 0 at the midpoint.
+        assert response_fixed_points() == (-0.004477944080865659, 0.5, 1.0044779440808655)
+        assert basin_boundary() == 0.5364690290495744
+
 
 class TestStressModel:
     def test_actual_state_self_edge(self):
@@ -297,6 +307,23 @@ class TestTagGame:
         # probes include a pre-tag state, whose step flips the labels
         assert not is_reducible(model, states[:-1], np.random.default_rng(8))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"chaser": "C"}, "chaser must be 'A' or 'B', got 'C'"),
+            ({"b_pos": (100.0, 5.0)}, r"position \(100.0, 5.0\) outside the arena"),
+        ],
+    )
+    def test_state_checked(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TagState(**{"a_pos": (1.0, 1.0), "b_pos": (2.0, 2.0), **kwargs})
+
+    def test_chaser_on_the_evader_moves_along_plus_x(self):
+        state = TagState(a_pos=(10.0, 10.0), b_pos=(10.0, 10.0), chaser="B")
+        after = tag_step(state, np.random.default_rng(0))
+        assert after.b_vel == pytest.approx((1.2, 0.0))
+        assert after.a_vel[0] > 0.0 and math.hypot(*after.a_vel) == pytest.approx(1.0)
+
     def test_speeds_bounded(self):
         states = run_episode(300, np.random.default_rng(9))
         for s in states[1:]:
@@ -351,6 +378,18 @@ class TestFollower:
         with pytest.raises(ValueError, match=r"\(16,\)"):
             follower_identify(Policy.FOLLOWING, np.arange(16.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trace_rejected_naming_its_row(self, bad):
+        trace = simulate_follower_trace(Policy.FOLLOWING, 200, np.random.default_rng(0))
+        trace[57, 0] = bad
+        message = re.escape(f"trace must be finite, got {[bad, float(trace[57, 1])]} in row 57")
+        with pytest.raises(ValueError, match=message):
+            follower_identify(Policy.FOLLOWING, trace)
+        with pytest.raises(ValueError, match=message):
+            infer_state(follower_model(), [tuple(r) for r in trace])
+        with pytest.raises(ValueError, match="in row 2"):  # too short to tell, but not finite
+            infer_state(follower_model(), [tuple(r) for r in trace[55:58]])
+
     def test_model_infer_needs_enough_observations(self):
         model = follower_model()
         rng = np.random.default_rng(3)
@@ -375,6 +414,14 @@ class TestLocks:
     def test_open_lock_rejected(self):
         with pytest.raises(ValueError):
             locks_attribution(LocksState(lock1=Lock.OPEN), 1)
+
+    def test_unknown_lock_rejected(self):
+        with pytest.raises(ValueError, match="lock index must be 1 or 2, got 3"):
+            locks_attribution(LocksState(), 3)
+
+    def test_locks_model_takes_no_trace(self):
+        with pytest.raises(ValueError, match="does not declare observation-trace support"):
+            infer_state(locks_model(), [LocksState()])
 
     def test_door_invariant(self):
         from metacausal.systems.locks import Door

@@ -325,7 +325,7 @@ def _simulate_follower(args, rng) -> list[dict]:
     rows = []
     for policy in (follower.Policy.FOLLOWING, follower.Policy.STANDING_STILL):
         trace = follower.simulate_follower_trace(policy, args.steps, rng)
-        ident = follower.follower_identify(policy, trace)
+        ident = follower.follower_identify(trace)
         for t, (a, b) in enumerate(trace):
             rows.append(
                 {

@@ -99,7 +99,11 @@ class TypeDomain:
 
 @dataclass(frozen=True)
 class MetaCausalState:
-    """Square matrix of type labels; a typed generalization of an adjacency matrix."""
+    """Square matrix of type labels; a typed generalization of an adjacency matrix.
+
+    Rows may hold ``TypeLabel`` objects or their strings; both are stored as
+    tuples of labels, so equal matrices compare and hash equal either way.
+    """
 
     entries: tuple[tuple[TypeLabel, ...], ...]
 
@@ -115,14 +119,11 @@ class MetaCausalState:
         return len(self.entries)
 
     def label(self, i: int, j: int) -> TypeLabel:
+        """Type of variable i's influence on variable j; IndexError outside 0..n-1."""
+        n = self.n
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"edge index ({i}, {j}) out of range for n={n}")
         return self.entries[i][j]
-
-    def edge_present(self, i: int, j: int) -> bool:
-        return not self.entries[i][j].is_no_edge
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[TypeLabel | str]]) -> "MetaCausalState":
-        return cls(tuple(tuple(_as_label(t) for t in row) for row in rows))
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(t.label for t in row) for row in self.entries) + "]"
@@ -130,10 +131,7 @@ class MetaCausalState:
 
 def edge_present(state: MetaCausalState, i: int, j: int) -> bool:
     """True when the edge from variable i to variable j is present."""
-    n = state.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"edge index ({i}, {j}) out of range for n={n}")
-    return state.edge_present(i, j)
+    return not state.label(i, j).is_no_edge
 
 
 @dataclass(frozen=True)
@@ -278,6 +276,26 @@ def infer_state(
     return state
 
 
+def _looping_states(
+    model: MetaCausalModel,
+    probe_states: Iterable[Any],
+    rng: np.random.Generator | None,
+) -> list[MetaCausalState] | None:
+    """The state identified at each probe, or None once a probe's transition
+    changes it (the probes after that one are not stepped)."""
+    probes = list(probe_states)
+    if not probes:
+        raise ValueError("probe set is empty")
+    states = []
+    for s in probes:
+        before = actual_state(model, s)
+        after, _ = step(model, before, s, rng)
+        if after != before:
+            return None
+        states.append(before)
+    return states
+
+
 def is_reducible(
     model: MetaCausalModel,
     probe_states: Iterable[Any],
@@ -291,15 +309,7 @@ def is_reducible(
     changes its type matrix, so it collapses to a context-conditioned
     static model.
     """
-    probes = list(probe_states)
-    if not probes:
-        raise ValueError("probe set is empty")
-    for s in probes:
-        before = actual_state(model, s)
-        after, _ = step(model, before, s, rng)
-        if after != before:
-            return False
-    return True
+    return _looping_states(model, probe_states, rng) is not None
 
 
 def reduction_table(
@@ -309,18 +319,12 @@ def reduction_table(
 ) -> dict[int, MetaCausalState]:
     """Context table of a reducible model: context value -> meta-causal state.
 
-    Verifies reducibility over the probes first, then enumerates the
-    distinct states observed, in first-appearance order.  The integer keys
-    play the role of values of an explicit conditioning variable.
+    Checks reducibility over the probes in the same pass that identifies
+    them, and enumerates the distinct states in first-appearance order.  The
+    integer keys play the role of values of an explicit conditioning
+    variable.
     """
-    probes = list(probe_states)
-    if not is_reducible(model, probes, rng):
+    states = _looping_states(model, probe_states, rng)
+    if states is None:
         raise ValueError("model is not reducible over the given probe set")
-    table: dict[int, MetaCausalState] = {}
-    seen: set[MetaCausalState] = set()
-    for s in probes:
-        state = actual_state(model, s)
-        if state not in seen:
-            table[len(table)] = state
-            seen.add(state)
-    return table
+    return dict(enumerate(dict.fromkeys(states)))

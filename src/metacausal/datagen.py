@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -47,12 +48,21 @@ class Direction(str, Enum):
 
 @dataclass(frozen=True)
 class MechanismParams:
-    """One directed linear mechanism with Laplace noise on the effect."""
+    """One directed linear mechanism with Laplace noise on the effect.
+
+    A non-finite slope ``alpha`` or intercept ``beta`` raises ValueError
+    naming the field; the scale ``b`` is checked where a density reads it.
+    """
 
     alpha: float
     beta: float
     b: float
     direction: Direction = Direction.XY
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            name = "beta" if math.isfinite(self.alpha) else "alpha"
+            raise ValueError(f"mechanism {name} must be finite, got {getattr(self, name)}")
 
     def predict(self, cause):
         return self.alpha * np.asarray(cause, dtype=float) + self.beta
@@ -248,7 +258,8 @@ def read_dataset_csv(path: str | Path) -> Dataset:
     """Read a dataset CSV and its sidecar.
 
     Bad or empty CSV data raise CsvFormatError; a sidecar with bad JSON, a
-    missing key or an unknown direction raises SidecarFormatError.
+    missing key, an unknown direction or a non-finite slope or intercept
+    raises SidecarFormatError.
     """
     path = Path(path)
     points: list[tuple[float, float]] = []

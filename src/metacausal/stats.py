@@ -460,11 +460,15 @@ def weighted_ad_statistic_laplace(residuals, weights) -> float:
     with unit weights this reduces to :func:`ad_statistic_laplace`.  Used to
     compare causal directions on responsibility-weighted residuals, where
     only the ordering of statistics matters (no critical value applies).
+    Points of weight 0 are dropped; a negative or NaN weight, an infinite
+    weight sum or a non-finite residual of a kept point raises ValueError.
     """
     r = np.asarray(residuals, dtype=float)
     w = np.asarray(weights, dtype=float)
     keep = w > 0
     if not keep.all():
+        if not (w >= 0).all():  # a NaN fails both comparisons
+            raise ValueError(f"weights must be non-negative, got {w[~(w >= 0)][0]}")
         r, w = r[keep], w[keep]
     if r.size < 2:
         return math.inf
@@ -472,7 +476,11 @@ def weighted_ad_statistic_laplace(residuals, weights) -> float:
     # exactly 0, so an unstable sort changes only the order tied weights sum.
     order = np.argsort(r)
     r, w = r.take(order), w.take(order)
+    if not (math.isfinite(r[0]) and math.isfinite(r[-1])):  # sorted: -inf first, +inf and NaN last
+        check_finite("residuals", np.asarray(residuals, dtype=float))
     total = float(w.sum())
+    if not math.isfinite(total):
+        raise ValueError(f"weights must have a finite sum, got {total}")
     cum = np.add.accumulate(w)
     half = 0.5 * total
     idx = int(cum.searchsorted(half))

@@ -4,7 +4,6 @@ from .follower import (
     FollowerIdentification,
     FollowerState,
     Policy,
-    follower_attribution,
     follower_identify,
     follower_model,
     follower_step,
@@ -27,7 +26,6 @@ from .stress import (
     stress_identify,
     stress_model,
     stress_step,
-    stress_transition,
 )
 from .tag import (
     TagObservation,

@@ -45,7 +45,6 @@ __all__ = [
     "follower_step",
     "simulate_follower_trace",
     "follower_identify",
-    "follower_attribution",
     "follower_model",
 ]
 
@@ -62,12 +61,8 @@ FOLLOWER_DOMAIN = TypeDomain((FOLLOWING_LABEL, NO_EDGE))
 # Variable order: index 0 = A's position, 1 = B's position.
 A_X, B_X = 0, 1
 
-EDGE_PRESENT_STATE = MetaCausalState.from_rows(
-    [["⊥", "⊥"], ["following", "⊥"]]
-)
-EDGE_ABSENT_STATE = MetaCausalState.from_rows(
-    [["⊥", "⊥"], ["⊥", "⊥"]]
-)
+EDGE_PRESENT_STATE = MetaCausalState([["⊥", "⊥"], ["following", "⊥"]])
+EDGE_ABSENT_STATE = MetaCausalState([["⊥", "⊥"], ["⊥", "⊥"]])
 
 
 class Policy(Enum):
@@ -140,24 +135,18 @@ def _identification(present: bool, correlation: float) -> FollowerIdentification
     )
 
 
-def follower_identify(policy: Policy, trace) -> FollowerIdentification:
+def follower_identify(trace) -> FollowerIdentification:
     """Identify the meta-causal state from an observed (m, 2) trace of (a, b) rows.
 
-    The edge from B to A is detected by the displacement correlation alone;
-    the identification does not read ``policy``.  On the meta level
-    the policy is the root cause either way: it establishes the edge under
-    following and removes it under standing still.
+    The edge from B to A is detected by the displacement correlation alone,
+    so the identification needs no policy.  On the meta level the policy is
+    the root cause either way: it establishes the edge under following and
+    removes it under standing still.
     """
     read = _read_trace(trace)
     if read is None:
         raise ValueError(f"need at least {MIN_TRACE} observations, got {len(trace)}")
     return _identification(*read)
-
-
-def follower_attribution(policy: Policy) -> FollowerIdentification:
-    """Attribution record straight from the policy (no trace needed)."""
-    present = policy is Policy.FOLLOWING
-    return _identification(present, 1.0 if present else 0.0)
 
 
 def _encode(state: FollowerState, i: int, j: int) -> TypeLabel:

@@ -77,7 +77,7 @@ def locks_identify(state: LocksState) -> MetaCausalState:
     rows = [[NO_EDGE] * 3 for _ in range(3)]
     rows[LOCK1][DOOR] = _lock_edge(state.lock1, state.lock2)
     rows[LOCK2][DOOR] = _lock_edge(state.lock2, state.lock1)
-    return MetaCausalState.from_rows(rows)
+    return MetaCausalState(rows)
 
 
 @dataclass(frozen=True)

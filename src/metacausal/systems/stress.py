@@ -13,6 +13,12 @@ midpoint itself).  Note the label tracks this amplify/suppress behavior,
 not the curvature sign of the response curve, which is positive below the
 midpoint and negative above it.
 
+With variable 0 the external stressor and variable 1 the stress level, and
+rows as causes, the identified type matrix is [[⊥, 1], [⊥, a]]: the
+stressor always drives the level (label "1"), and a is the level's
+self-influence label, "+1", "-1" or "0".  The stressor has no influence
+on itself and the level none on the stressor.
+
 Without external input the two modes are self-sustaining: levels above the
 upper basin boundary climb toward saturation, levels below the midpoint
 decay toward zero, and only the external stressor can move the system
@@ -48,7 +54,6 @@ __all__ = [
     "loop_response",
     "stress_step",
     "stress_identify",
-    "stress_transition",
     "stress_model",
     "stress_candidates",
     "response_fixed_points",
@@ -120,18 +125,6 @@ def stress_identify(s: float) -> TypeLabel:
     if s < RESPONSE_MIDPOINT:
         return SUPPRESSING
     return NEUTRAL
-
-
-def stress_transition(t: MetaCausalState, state: StressState) -> MetaCausalState:
-    """Successor type matrix in the compact published layout.
-
-    Returns [[1, a], [0, 0]] with a = sign(s - 0.5): a constant first edge
-    type and the stress level's self-influence label.  Independent of the
-    incoming matrix ``t``; rows and columns follow the (external stressor,
-    stress level) variable order.
-    """
-    a = stress_identify(state.s)
-    return MetaCausalState.from_rows([[DRIVING, a], [NEUTRAL, NEUTRAL]])
 
 
 def _encode(state: StressState, i: int, j: int) -> TypeLabel:

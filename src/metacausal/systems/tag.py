@@ -71,12 +71,8 @@ TAG_DOMAIN = TypeDomain((CHASING, ESCAPING, NO_EDGE))
 # Variable order: index 0 = agent A's position, 1 = agent B's position.
 A, B = 0, 1
 
-A_CHASING_STATE = MetaCausalState.from_rows(
-    [["⊥", "escaping"], ["chasing", "⊥"]]
-)
-B_CHASING_STATE = MetaCausalState.from_rows(
-    [["⊥", "chasing"], ["escaping", "⊥"]]
-)
+A_CHASING_STATE = MetaCausalState([["⊥", "escaping"], ["chasing", "⊥"]])
+B_CHASING_STATE = MetaCausalState([["⊥", "chasing"], ["escaping", "⊥"]])
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,7 @@ def _identify_from_motion(a_pos, b_pos, a_vel, b_vel) -> MetaCausalState:
     sep_ab = torus_delta(a_pos, b_pos)  # from A toward B
     edge_b_to_a = _direction_label(a_vel, sep_ab)  # A's motion types B -> A
     edge_a_to_b = _direction_label(b_vel, -sep_ab)  # B's motion types A -> B
-    return MetaCausalState.from_rows(
-        [[NO_EDGE, edge_a_to_b], [edge_b_to_a, NO_EDGE]]
-    )
+    return MetaCausalState([[NO_EDGE, edge_a_to_b], [edge_b_to_a, NO_EDGE]])
 
 
 def tag_identify(prev: TagState | TagObservation, curr: TagState | TagObservation) -> MetaCausalState:

@@ -306,7 +306,7 @@ def test_criterion_11_attribution():
         rng = np.random.default_rng(seed)
         policy = Policy.FOLLOWING if seed % 2 == 0 else Policy.STANDING_STILL
         trace = simulate_follower_trace(policy, 200, rng)
-        ident = follower_identify(policy, trace)
+        ident = follower_identify(trace)
         follower_ok = follower_ok and (
             ident.edge_present == (policy is Policy.FOLLOWING)
         )

@@ -115,14 +115,25 @@ class TestDiscover:
         assert code == 3
         assert f"row {row}" in capsys.readouterr().err
 
-    def test_malformed_sidecar_is_io_error(self, tmp_path, capsys):
+    @staticmethod
+    def _discover_with_sidecar(tmp_path, capsys, sidecar):
         main(["gen", "--k", "1", "--n", "60", "--seed", "3", "--out", str(tmp_path / "d.csv")])
-        (tmp_path / "d.csv.meta.json").write_text('{"mechanisms": [{"alpha": 1.0}]}')
+        (tmp_path / "d.csv.meta.json").write_text(sidecar)
         code = main(["discover", "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "r.json")])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "d.csv.meta.json" in err and "'beta'" in err
         assert not (tmp_path / "r.json").exists()
+        return code, capsys.readouterr().err
+
+    def test_malformed_sidecar_is_io_error(self, tmp_path, capsys):
+        code, err = self._discover_with_sidecar(tmp_path, capsys, '{"mechanisms": [{"alpha": 1.0}]}')
+        assert code == 3
+        assert "d.csv.meta.json" in err and "'beta'" in err
+
+    def test_sidecar_with_a_non_finite_slope_is_io_error(self, tmp_path, capsys):
+        mechanism = '{"alpha": NaN, "beta": 0.0, "b": 1.0, "direction": "xy"}'
+        sidecar = f'{{"mechanisms": [{mechanism}], "class_probs": [1.0]}}'
+        code, err = self._discover_with_sidecar(tmp_path, capsys, sidecar)
+        assert code == 3
+        assert "d.csv.meta.json" in err and "alpha must be finite, got nan" in err
 
     def test_manifest_records_what_ran(self, tmp_path):
         main(["gen", "--k", "1", "--n", "60", "--seed", "3", "--out", str(tmp_path / "d.csv")])

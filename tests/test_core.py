@@ -65,26 +65,36 @@ class TestTypeDomain:
 class TestMetaCausalState:
     def test_must_be_square(self):
         with pytest.raises(ValueError):
-            MetaCausalState.from_rows([["+", "-"]])
+            MetaCausalState([["+", "-"]])
         with pytest.raises(ValueError):
             MetaCausalState(())
 
     def test_equality_and_hash(self):
-        a = MetaCausalState.from_rows([["⊥", "+"], ["⊥", "⊥"]])
-        b = MetaCausalState.from_rows([[NO_EDGE, POS], [NO_EDGE, NO_EDGE]])
+        a = MetaCausalState([["⊥", "+"], ["⊥", "⊥"]])
+        b = MetaCausalState([[NO_EDGE, POS], [NO_EDGE, NO_EDGE]])
         assert a == b
         assert hash(a) == hash(b)
+        assert a.entries == ((NO_EDGE, POS), (NO_EDGE, NO_EDGE))
+        assert not hasattr(MetaCausalState, "from_rows")
 
     def test_edge_present(self):
-        state = MetaCausalState.from_rows([["⊥", "+"], ["⊥", "⊥"]])
+        state = MetaCausalState([["⊥", "+"], ["⊥", "⊥"]])
         assert edge_present(state, 0, 1)
         assert not edge_present(state, 1, 0)
         assert not edge_present(state, 0, 0)
-        with pytest.raises(IndexError):
-            edge_present(state, 0, 2)
+        assert not hasattr(MetaCausalState, "edge_present")
+
+    @pytest.mark.parametrize("i, j", [(-1, 0), (0, -1), (0, 2), (-2, -1)])
+    def test_entries_outside_the_matrix_raise(self, i, j):
+        state = MetaCausalState([["⊥", "+"], ["⊥", "⊥"]])
+        message = rf"edge index \({i}, {j}\) out of range for n=2"
+        with pytest.raises(IndexError, match=message):
+            state.label(i, j)
+        with pytest.raises(IndexError, match=message):
+            edge_present(state, i, j)
 
     def test_all_no_edge_state(self):
-        state = MetaCausalState.from_rows([["⊥"] * 2] * 2)
+        state = MetaCausalState([["⊥"] * 2] * 2)
         assert not any(edge_present(state, i, j) for i in range(2) for j in range(2))
 
 
@@ -168,7 +178,7 @@ class TestActualStateAndStep:
 
     def test_step_checks_matrix_shape(self):
         model = _toy_model(_sign_encoder)
-        wrong = MetaCausalState.from_rows([["⊥"]])
+        wrong = MetaCausalState([["⊥"]])
         with pytest.raises(DomainError):
             step(model, wrong, 0)
 
@@ -180,13 +190,13 @@ class TestActualStateAndStep:
 
 class TestInferState:
     def test_unique_candidate_returned(self):
-        target = MetaCausalState.from_rows([["⊥", "+"], ["⊥", "⊥"]])
+        target = MetaCausalState([["⊥", "+"], ["⊥", "⊥"]])
         model = _toy_model(_sign_encoder, candidates=lambda obs: frozenset({target}))
         assert infer_state(model, [1, 2, 3]) == target
 
     def test_multiple_candidates_ambiguous(self):
-        pos = MetaCausalState.from_rows([["⊥", "+"], ["⊥", "⊥"]])
-        neg = MetaCausalState.from_rows([["⊥", "-"], ["⊥", "⊥"]])
+        pos = MetaCausalState([["⊥", "+"], ["⊥", "⊥"]])
+        neg = MetaCausalState([["⊥", "-"], ["⊥", "⊥"]])
         model = _toy_model(_sign_encoder, candidates=lambda obs: frozenset({pos, neg}))
         assert infer_state(model, [1]) is AMBIGUOUS
 
@@ -237,6 +247,34 @@ class TestReducibility:
         table = reduction_table(model, [-2, -1, 0, 1])
         assert len(table) == 2
         assert set(table) == {0, 1}
+
+    def test_reduction_table_keeps_first_appearance_order(self):
+        model = _toy_model(_sign_encoder, transition=lambda s, rng=None: s)
+        pos, neg = actual_state(model, 0), actual_state(model, -1)
+        assert reduction_table(model, [3, -1, 2, -4, 0]) == {0: pos, 1: neg}
+        assert list(reduction_table(model, [-1, 3, -2]).values()) == [neg, pos]
+
+    def test_each_probe_is_identified_twice(self):
+        calls = []
+
+        def encoder(s, i, j):
+            calls.append(s)
+            return POS if (i, j) == (0, 1) else NO_EDGE
+
+        model = _toy_model(encoder, transition=lambda s, rng=None: s)
+        reduction_table(model, [1, 2, 3])
+        assert len(calls) == 3 * 2 * 4  # before and after each step, 4 entries each
+
+    def test_the_check_stops_stepping_at_the_first_probe_that_moves(self):
+        stepped = []
+
+        def transition(s, rng=None):
+            stepped.append(s)
+            return s + 1
+
+        model = _toy_model(_sign_encoder, transition=transition)
+        assert not is_reducible(model, [3, -1, 5])
+        assert stepped == [3, -1]
 
     def test_reduction_table_requires_reducibility(self):
         model = _toy_model(_sign_encoder)

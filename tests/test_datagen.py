@@ -55,6 +55,15 @@ class TestDataset:
             Dataset(np.zeros((3, 2)), labels=[0, 1])
 
 
+class TestMechanismParams:
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_line_rejected_naming_its_field(self, field, bad):
+        values = {"alpha": 1.0, "beta": 0.0, "b": 1.0, field: bad}
+        with pytest.raises(ValueError, match=rf"mechanism {field} must be finite, got {bad}"):
+            MechanismParams(**values)
+
+
 class TestClassProbabilities:
     def test_k4_reference(self):
         assert class_probabilities(4, 0.2) == pytest.approx([0.3, 0.3, 0.2, 0.2])

@@ -657,6 +657,33 @@ class TestWeightedADStatistic:
             ad_statistic_laplace(r), abs=1e-10
         )
 
+    @pytest.mark.parametrize(
+        "where, bad, message",
+        [
+            ("weights", math.nan, "weights must be non-negative, got nan"),
+            ("weights", -1.0, "weights must be non-negative, got -1.0"),
+            ("weights", math.inf, "weights must have a finite sum, got inf"),
+            ("residuals", math.nan, r"residuals must be finite, got nan in row 99"),
+            ("residuals", math.inf, r"residuals must be finite, got inf in row 99"),
+            ("residuals", -math.inf, r"residuals must be finite, got -inf in row 99"),
+        ],
+    )
+    def test_bad_weight_or_residual_rejected(self, where, bad, message):
+        rng = np.random.default_rng(14)
+        data = {"residuals": sample_laplace(rng, 1.0, size=100), "weights": np.ones(100)}
+        data[where][-1] = bad
+        with pytest.raises(ValueError, match=message):
+            weighted_ad_statistic_laplace(**data)
+
+    def test_non_finite_residual_of_a_dropped_point_is_ignored(self):
+        rng = np.random.default_rng(14)
+        r = sample_laplace(rng, 1.0, size=100)
+        w = np.ones(100)
+        w[-1] = 0.0
+        dropped = weighted_ad_statistic_laplace(r[:-1], w[:-1])
+        r[-1] = math.nan
+        assert weighted_ad_statistic_laplace(r, w) == dropped
+
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.integers(2, 2500),

@@ -17,7 +17,6 @@ from metacausal.systems.follower import (
     EDGE_PRESENT_STATE,
     FollowerState,
     Policy,
-    follower_attribution,
     follower_identify,
     follower_model,
     simulate_follower_trace,
@@ -41,7 +40,6 @@ from metacausal.systems.stress import (
     stress_identify,
     stress_model,
     stress_step,
-    stress_transition,
 )
 from metacausal.systems.tag import (
     A_CHASING_STATE,
@@ -105,17 +103,19 @@ class TestStressDynamics:
         assert state.s > 0.5
 
     def test_transition_matrix_layout(self):
-        high = stress_transition(None, StressState(s=0.9))
-        assert [t.label for t in high.entries[0]] == ["1", "+1"]
-        assert [t.label for t in high.entries[1]] == ["0", "0"]
-        low = stress_transition(None, StressState(s=0.1))
-        assert low.entries[0][1].label == "-1"
+        model = stress_model()
+        t = actual_state(model, StressState(s=0.5))
+        high, _ = step(model, t, StressState(s=0.9))
+        assert str(high) == "[⊥ 1; ⊥ +1]"
+        low, _ = step(model, t, StressState(s=0.1))
+        assert low.label(1, 1) == SUPPRESSING
 
     def test_transition_ignores_input_matrix(self):
+        model = stress_model()
         s = StressState(s=0.7)
         results = {
-            stress_transition(m, s)
-            for m in (None, stress_transition(None, StressState(s=0.1)))
+            step(model, actual_state(model, StressState(s=level)), s)
+            for level in (0.1, 0.9)
         }
         assert len(results) == 1
 
@@ -335,24 +335,24 @@ class TestFollower:
     def test_following_establishes_edge(self):
         rng = np.random.default_rng(0)
         trace = simulate_follower_trace(Policy.FOLLOWING, 200, rng)
-        ident = follower_identify(Policy.FOLLOWING, trace)
+        ident = follower_identify(trace)
         assert ident.state == EDGE_PRESENT_STATE
         assert ident.edge_present
 
     def test_standing_still_removes_edge(self):
         rng = np.random.default_rng(1)
         trace = simulate_follower_trace(Policy.STANDING_STILL, 200, rng)
-        ident = follower_identify(Policy.STANDING_STILL, trace)
+        ident = follower_identify(trace)
         assert ident.state == EDGE_ABSENT_STATE
         assert not ident.edge_present
 
     def test_policy_is_meta_root_cause(self):
         rng = np.random.default_rng(2)
         trace = simulate_follower_trace(Policy.FOLLOWING, 100, rng)
-        ident = follower_identify(Policy.FOLLOWING, trace)
+        ident = follower_identify(trace)
         assert ident.meta_root_cause == "A_policy"
         assert ident.classical_root_cause == "B_X"
-        still = follower_attribution(Policy.STANDING_STILL)
+        still = follower_identify(simulate_follower_trace(Policy.STANDING_STILL, 100, rng))
         assert still.meta_root_cause == "A_policy"
         assert still.classical_root_cause == "U_A"
 
@@ -361,22 +361,22 @@ class TestFollower:
             rng = np.random.default_rng(seed)
             policy = Policy.FOLLOWING if seed % 2 == 0 else Policy.STANDING_STILL
             trace = simulate_follower_trace(policy, 200, rng)
-            ident = follower_identify(policy, trace)
+            ident = follower_identify(trace)
             assert ident.edge_present == (policy is Policy.FOLLOWING)
 
     def test_short_trace_rejected(self):
         with pytest.raises(ValueError):
-            follower_identify(Policy.FOLLOWING, [(0.0, 1.0)] * 4)
+            follower_identify([(0.0, 1.0)] * 4)
 
     def test_trace_must_have_two_columns(self):
         # Three-column rows are not (a, b) pairs; nothing reshapes them into some.
         observations = [(i, 2 * i, i % 3) for i in range(8)]
         with pytest.raises(ValueError, match=r"\(8, 3\)"):
-            follower_identify(Policy.FOLLOWING, observations)
+            follower_identify(observations)
         with pytest.raises(ValueError, match=r"\(8, 3\)"):
             infer_state(follower_model(), observations)
         with pytest.raises(ValueError, match=r"\(16,\)"):
-            follower_identify(Policy.FOLLOWING, np.arange(16.0))
+            follower_identify(np.arange(16.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_trace_rejected_naming_its_row(self, bad):
@@ -384,7 +384,7 @@ class TestFollower:
         trace[57, 0] = bad
         message = re.escape(f"trace must be finite, got {[bad, float(trace[57, 1])]} in row 57")
         with pytest.raises(ValueError, match=message):
-            follower_identify(Policy.FOLLOWING, trace)
+            follower_identify(trace)
         with pytest.raises(ValueError, match=message):
             infer_state(follower_model(), [tuple(r) for r in trace])
         with pytest.raises(ValueError, match="in row 2"):  # too short to tell, but not finite

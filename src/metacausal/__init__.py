@@ -25,7 +25,6 @@ from .core import (
     NO_EDGE,
     Ambiguous,
     DomainError,
-    IdentificationFunction,
     MediationProcess,
     MetaCausalModel,
     MetaCausalState,

@@ -72,7 +72,7 @@ def lower_bound_success_prob(n: int, d: float) -> float:
     """
     if n < 1:
         raise ValueError(f"mechanism count must be >= 1, got {n}")
-    if d < 0:
+    if not d >= 0:  # a NaN fails the comparison
         raise ValueError(f"class deviation must be >= 0, got {d}")
     if d >= 1:
         warnings.warn(

@@ -4,10 +4,10 @@ A causal graph's adjacency matrix generalizes to a matrix of *type labels*:
 entry (i, j) carries the kind of influence variable i currently exerts on
 variable j, with a reserved no-edge label for absent influence.  Such a
 matrix is a meta-causal state.  An environment process plus an
-identification function (which reads the current types off an environment
-state, entry by entry and the diagonal included) turn the set of states
-into a finite-state machine: feeding the machine an environment state
-advances the environment and re-identifies the types.
+identification function (which maps an environment state to its whole type
+matrix, the diagonal included) turn the set of states into a finite-state
+machine: feeding the machine an environment state advances the environment
+and re-identifies the types.
 
 State inference works on observation traces: a model declares how to map a
 window of observed variable values to the set of consistent states, and
@@ -30,7 +30,6 @@ __all__ = [
     "TypeDomain",
     "MetaCausalState",
     "MediationProcess",
-    "IdentificationFunction",
     "MetaCausalModel",
     "Ambiguous",
     "AMBIGUOUS",
@@ -147,26 +146,6 @@ class MediationProcess:
     validate: Callable[[Any], bool] = lambda s: True
 
 
-@dataclass(frozen=True)
-class IdentificationFunction:
-    """Per-pair type encoders: (environment state, i, j) -> type label.
-
-    The encoder types every entry, the diagonal too: a variable without a
-    self-influence gets the no-edge label there from its encoder.
-    """
-
-    n: int
-    pair_encoder: Callable[[Any, int, int], TypeLabel]
-
-    def state_of(self, s: Any) -> MetaCausalState:
-        return MetaCausalState(
-            tuple(
-                tuple(self.pair_encoder(s, i, j) for j in range(self.n))
-                for i in range(self.n)
-            )
-        )
-
-
 class Ambiguous:
     """Marker: several meta-causal states remain consistent with a trace."""
 
@@ -190,26 +169,23 @@ class MetaCausalModel:
 
     Machine states are type matrices, the input alphabet is the environment
     state space, and the transition advances the environment and
-    re-identifies the types.  The identification function fixes the
-    number of variables.  ``candidate_states`` supports trace inference: it
-    maps a time-ordered tuple of observations to the set of consistent
-    meta-causal states, and is the one place that says what an observation
-    is.
+    re-identifies the types.  ``identify`` maps an environment state to its
+    whole type matrix, the diagonal included, so the matrices it returns
+    fix the number of variables.  ``candidate_states`` supports trace
+    inference: it maps a time-ordered tuple of observations to the set of
+    consistent meta-causal states, and is the one place that says what an
+    observation is.
     """
 
     type_domain: TypeDomain
     process: MediationProcess
-    id_fn: IdentificationFunction
+    identify: Callable[[Any], MetaCausalState]
     candidate_states: Callable[[tuple], frozenset[MetaCausalState]] | None = None
-
-    @property
-    def n(self) -> int:
-        return self.id_fn.n
 
 
 def _identify(model: MetaCausalModel, s: Any) -> MetaCausalState:
     """The state identified at ``s``; a label outside the type domain raises DomainError."""
-    state = model.id_fn.state_of(s)
+    state = model.identify(s)
     for i, row in enumerate(state.entries):
         for j, label in enumerate(row):
             if label not in model.type_domain:
@@ -219,7 +195,8 @@ def _identify(model: MetaCausalModel, s: Any) -> MetaCausalState:
 
 
 def actual_state(model: MetaCausalModel, s: Any) -> MetaCausalState:
-    """The meta-causal state identified at environment state ``s``."""
+    """The meta-causal state identified at environment state ``s``: the
+    model's identification function maps ``s`` to its whole type matrix."""
     if not model.process.validate(s):
         raise DomainError(f"state {s!r} is outside the model's state space")
     return _identify(model, s)
@@ -234,15 +211,16 @@ def step(
     """Advance the machine one input: move the environment, re-identify types.
 
     Returns the successor meta-causal state together with the successor
-    environment state.  ``t`` is checked for shape compatibility; the
+    environment state.  ``t`` must have the successor's size; the
     transition itself depends only on the environment.
     """
-    if t.n != model.n:
-        raise DomainError(f"state matrix has n={t.n}, model expects n={model.n}")
     if not model.process.validate(s):
         raise DomainError(f"state {s!r} is outside the model's state space")
     s_next = model.process.transition(s, rng)
-    return _identify(model, s_next), s_next
+    t_next = _identify(model, s_next)
+    if t.n != t_next.n:
+        raise DomainError(f"state matrix has n={t.n}, the identified successor has n={t_next.n}")
+    return t_next, s_next
 
 
 def infer_state(

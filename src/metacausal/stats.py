@@ -96,7 +96,13 @@ class ADTestResult:
 
 def laplace_logpdf(x, b: float):
     """Log-density log(1/(2b)) - |x| / b of the zero-centred Laplace
-    distribution of scale ``b``, elementwise over ``x``."""
+    distribution of scale ``b``, elementwise over ``x``.
+
+    A zero, negative or NaN scale raises ValueError, and so does a non-finite
+    ``x``.  A scale of +inf is accepted and gives -inf everywhere; a point
+    whose every log-density is -inf gets ``responsibilities``' uniform
+    fallback.
+    """
     if not b > 0:
         raise ValueError(f"scale must be positive, got {b}")
     arr = np.asarray(x, dtype=float)

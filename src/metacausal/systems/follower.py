@@ -25,7 +25,6 @@ import numpy as np
 
 from ..core import (
     NO_EDGE,
-    IdentificationFunction,
     MediationProcess,
     MetaCausalModel,
     MetaCausalState,
@@ -59,8 +58,6 @@ FOLLOWING_LABEL = TypeLabel("following")
 FOLLOWER_DOMAIN = TypeDomain((FOLLOWING_LABEL, NO_EDGE))
 
 # Variable order: index 0 = A's position, 1 = B's position.
-A_X, B_X = 0, 1
-
 EDGE_PRESENT_STATE = MetaCausalState([["⊥", "⊥"], ["following", "⊥"]])
 EDGE_ABSENT_STATE = MetaCausalState([["⊥", "⊥"], ["⊥", "⊥"]])
 
@@ -149,12 +146,6 @@ def follower_identify(trace) -> FollowerIdentification:
     return _identification(*read)
 
 
-def _encode(state: FollowerState, i: int, j: int) -> TypeLabel:
-    if i == B_X and j == A_X and state.policy is Policy.FOLLOWING:
-        return FOLLOWING_LABEL
-    return NO_EDGE
-
-
 def _candidates(observations: tuple) -> frozenset[MetaCausalState]:
     """States consistent with a trace of (a_pos, b_pos) observations."""
     read = _read_trace(observations)
@@ -171,6 +162,6 @@ def follower_model() -> MetaCausalModel:
             transition=follower_step,
             validate=lambda s: isinstance(s, FollowerState),
         ),
-        id_fn=IdentificationFunction(n=2, pair_encoder=_encode),
+        identify=lambda s: EDGE_PRESENT_STATE if s.policy is Policy.FOLLOWING else EDGE_ABSENT_STATE,
         candidate_states=_candidates,
     )

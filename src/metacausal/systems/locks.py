@@ -16,7 +16,6 @@ from enum import Enum
 
 from ..core import (
     NO_EDGE,
-    IdentificationFunction,
     MediationProcess,
     MetaCausalModel,
     MetaCausalState,
@@ -135,8 +134,6 @@ def locks_model() -> MetaCausalModel:
             transition=lambda s, rng=None: s,
             validate=lambda s: isinstance(s, LocksState),
         ),
-        id_fn=IdentificationFunction(
-            n=3, pair_encoder=lambda s, i, j: locks_identify(s).label(i, j)
-        ),
+        identify=locks_identify,
         candidate_states=None,
     )

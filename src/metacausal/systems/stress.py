@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 from ..core import (
     NO_EDGE,
-    IdentificationFunction,
     MediationProcess,
     MetaCausalModel,
     MetaCausalState,
@@ -74,7 +73,6 @@ DRIVING = TypeLabel("1")  # constant external-input edge
 STRESS_DOMAIN = TypeDomain((DRIVING, AMPLIFYING, SUPPRESSING, NEUTRAL, NO_EDGE))
 
 # Variable order used throughout: index 0 = external stressor, 1 = stress level.
-EXT, STRESS = 0, 1
 
 
 @dataclass(frozen=True)
@@ -127,12 +125,9 @@ def stress_identify(s: float) -> TypeLabel:
     return NEUTRAL
 
 
-def _encode(state: StressState, i: int, j: int) -> TypeLabel:
-    if i == EXT and j == STRESS:
-        return DRIVING  # external input always feeds the stress level
-    if i == STRESS and j == STRESS:
-        return stress_identify(state.s)
-    return NO_EDGE
+def _identify(state: StressState) -> MetaCausalState:
+    """The type matrix [[⊥, 1], [⊥, a]], with a the level's self-influence label."""
+    return MetaCausalState([[NO_EDGE, DRIVING], [NO_EDGE, stress_identify(state.s)]])
 
 
 def stress_candidates(observations: tuple) -> frozenset[MetaCausalState]:
@@ -142,10 +137,7 @@ def stress_candidates(observations: tuple) -> frozenset[MetaCausalState]:
     only on the current level, so the final observation alone pins the
     state down (homing length 1).
     """
-    return frozenset({_ID_FN.state_of(StressState(s=float(observations[-1])))})
-
-
-_ID_FN = IdentificationFunction(n=2, pair_encoder=_encode)
+    return frozenset({_identify(StressState(s=float(observations[-1])))})
 
 
 def stress_model() -> MetaCausalModel:
@@ -160,7 +152,7 @@ def stress_model() -> MetaCausalModel:
     return MetaCausalModel(
         type_domain=STRESS_DOMAIN,
         process=MediationProcess(transition=transition, validate=validate),
-        id_fn=_ID_FN,
+        identify=_identify,
         candidate_states=stress_candidates,
     )
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from ..core import (
     NO_EDGE,
-    IdentificationFunction,
     MediationProcess,
     MetaCausalModel,
     MetaCausalState,
@@ -69,8 +68,6 @@ ESCAPING = TypeLabel("escaping")
 TAG_DOMAIN = TypeDomain((CHASING, ESCAPING, NO_EDGE))
 
 # Variable order: index 0 = agent A's position, 1 = agent B's position.
-A, B = 0, 1
-
 A_CHASING_STATE = MetaCausalState([["⊥", "escaping"], ["chasing", "⊥"]])
 B_CHASING_STATE = MetaCausalState([["⊥", "chasing"], ["escaping", "⊥"]])
 
@@ -218,11 +215,6 @@ def tag_candidates(observations: tuple) -> frozenset[MetaCausalState]:
     return frozenset({A_CHASING_STATE, B_CHASING_STATE})
 
 
-def _encode(state: TagState, i: int, j: int) -> TypeLabel:
-    matrix = _identify_from_motion(state.a_pos, state.b_pos, state.a_vel, state.b_vel)
-    return matrix.label(i, j)
-
-
 def tag_model() -> MetaCausalModel:
     """The pursuit game packaged as a meta-causal model."""
     return MetaCausalModel(
@@ -231,7 +223,7 @@ def tag_model() -> MetaCausalModel:
             transition=tag_step,
             validate=lambda s: isinstance(s, TagState),
         ),
-        id_fn=IdentificationFunction(n=2, pair_encoder=_encode),
+        identify=lambda s: _identify_from_motion(s.a_pos, s.b_pos, s.a_vel, s.b_vel),
         candidate_states=tag_candidates,
     )
 

@@ -78,7 +78,11 @@ def test_required_resamples_below_float_resolution_of_one_minus_p():
 
 @pytest.mark.parametrize(
     "n, d, message",
-    [(0, 0.0, "mechanism count must be >= 1, got 0"), (2, -0.1, "class deviation must be >= 0, got -0.1")],
+    [
+        (0, 0.0, "mechanism count must be >= 1, got 0"),
+        (2, -0.1, "class deviation must be >= 0, got -0.1"),
+        (2, math.nan, "class deviation must be >= 0, got nan"),
+    ],
 )
 def test_lower_bound_rejects_bad_arguments(n, d, message):
     with pytest.raises(ValueError, match=message):

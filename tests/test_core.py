@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from metacausal import core
 from metacausal.core import (
     AMBIGUOUS,
     NO_EDGE,
     DomainError,
-    IdentificationFunction,
     MediationProcess,
     MetaCausalModel,
     MetaCausalState,
@@ -25,7 +25,7 @@ NEG = TypeLabel("-")
 DOMAIN = TypeDomain((POS, NEG, NO_EDGE))
 
 
-def _toy_model(encoder, candidates=None, transition=None):
+def _toy_model(identify, candidates=None, transition=None):
     """2-variable model over integer environment states."""
     return MetaCausalModel(
         type_domain=DOMAIN,
@@ -33,16 +33,19 @@ def _toy_model(encoder, candidates=None, transition=None):
             transition=transition or (lambda s, rng=None: s + 1),
             validate=lambda s: isinstance(s, int),
         ),
-        id_fn=IdentificationFunction(n=2, pair_encoder=encoder),
+        identify=identify,
         candidate_states=candidates,
     )
 
 
-def _sign_encoder(s, i, j):
+def _edge_01(label):
+    """The 2-variable state whose only entry off the no-edge label is (0, 1)."""
+    return MetaCausalState([[NO_EDGE, label], [NO_EDGE, NO_EDGE]])
+
+
+def _sign_identify(s):
     # edge 0 -> 1 typed by the sign of the environment integer
-    if (i, j) == (0, 1):
-        return POS if s >= 0 else NEG
-    return NO_EDGE
+    return _edge_01(POS if s >= 0 else NEG)
 
 
 class TestTypeDomain:
@@ -100,90 +103,85 @@ class TestMetaCausalState:
 
 class TestModelParts:
     def test_size_comes_from_the_identification_function(self):
-        model = _toy_model(_sign_encoder)
-        assert model.n == model.id_fn.n == 2
-        with pytest.raises(TypeError):
-            MetaCausalModel(
-                n=2,
-                type_domain=DOMAIN,
-                process=model.process,
-                id_fn=model.id_fn,
-            )
+        # The identified matrix is the one source of the size: the model has
+        # no n, and no per-pair encoder class is left beside the function.
+        model = _toy_model(_sign_identify)
+        assert actual_state(model, 0).n == 2
+        assert not hasattr(model, "n")
+        assert not hasattr(core, "IdentificationFunction")
+        for extra in ({"n": 2}, {"id_fn": _sign_identify}):
+            with pytest.raises(TypeError):
+                MetaCausalModel(type_domain=DOMAIN, process=model.process, identify=_sign_identify, **extra)
 
     def test_process_has_no_abstraction(self):
         with pytest.raises(TypeError):
             MediationProcess(transition=lambda s, rng=None: s, abstraction=lambda s: s)
 
-    def test_encoder_alone_types_the_diagonal(self):
-        with pytest.raises(TypeError):
-            IdentificationFunction(n=2, pair_encoder=_sign_encoder, self_loops=frozenset())
-        assert not hasattr(IdentificationFunction, "label")
-
 
 class TestActualStateAndStep:
     def test_actual_state_reads_encoder(self):
-        model = _toy_model(_sign_encoder)
+        model = _toy_model(_sign_identify)
         assert actual_state(model, 3).label(0, 1) == POS
         assert actual_state(model, -2).label(0, 1) == NEG
 
     def test_actual_state_pure(self):
-        model = _toy_model(_sign_encoder)
+        model = _toy_model(_sign_identify)
         assert actual_state(model, 5) == actual_state(model, 5)
 
     def test_all_no_edge_encoder(self):
-        model = _toy_model(lambda s, i, j: NO_EDGE)
+        model = _toy_model(lambda s: MetaCausalState([[NO_EDGE] * 2] * 2))
         state = actual_state(model, 7)
         assert all(state.label(i, j) is NO_EDGE for i in range(2) for j in range(2))
 
     def test_diagonal_comes_from_the_encoder(self):
-        model = _toy_model(lambda s, i, j: POS if (i, j) == (1, 1) else NO_EDGE)
+        model = _toy_model(lambda s: MetaCausalState([[NO_EDGE, NO_EDGE], [NO_EDGE, POS]]))
         state = actual_state(model, 0)
         assert state.label(1, 1) == POS
         assert state.label(0, 0) is NO_EDGE
 
     def test_diagonal_label_outside_the_domain_raises(self):
-        model = _toy_model(lambda s, i, j: TypeLabel("?") if i == j == 1 else NO_EDGE)
+        model = _toy_model(lambda s: MetaCausalState([["⊥", "⊥"], ["⊥", "?"]]))
         message = r"label \? at \(1, 1\) is outside the type domain"
         with pytest.raises(DomainError, match=message):
             actual_state(model, 0)
         with pytest.raises(DomainError, match=message):
-            step(model, _toy_model(_sign_encoder).id_fn.state_of(0), 0)
+            step(model, _sign_identify(0), 0)
 
     def test_invalid_state_raises_domain_error(self):
-        model = _toy_model(_sign_encoder)
+        model = _toy_model(_sign_identify)
         with pytest.raises(DomainError):
             actual_state(model, "not-an-int")
 
     def test_step_definitional_consistency(self):
-        model = _toy_model(_sign_encoder)
+        model = _toy_model(_sign_identify)
         t0 = actual_state(model, -1)
         t1, s1 = step(model, t0, -1)
         assert s1 == 0
         assert t1 == actual_state(model, s1)
 
     def test_identity_transition_is_constant(self):
-        model = _toy_model(_sign_encoder, transition=lambda s, rng=None: s)
+        model = _toy_model(_sign_identify, transition=lambda s, rng=None: s)
         t0 = actual_state(model, 4)
         t1, s1 = step(model, t0, 4)
         assert (t1, s1) == (t0, 4)
 
     def test_label_outside_the_domain_raises(self):
-        model = _toy_model(lambda s, i, j: TypeLabel("?") if (i, j) == (1, 0) else NO_EDGE)
+        model = _toy_model(lambda s: MetaCausalState([["⊥", "⊥"], ["?", "⊥"]]))
         message = r"label \? at \(1, 0\) is outside the type domain \{\+, -, ⊥\}"
         with pytest.raises(DomainError, match=message):
             actual_state(model, 0)
-        t0 = _toy_model(_sign_encoder).id_fn.state_of(0)
+        t0 = _sign_identify(0)
         with pytest.raises(DomainError, match=message):
             step(model, t0, 0)
 
     def test_step_checks_matrix_shape(self):
-        model = _toy_model(_sign_encoder)
+        model = _toy_model(_sign_identify)
         wrong = MetaCausalState([["⊥"]])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="state matrix has n=1, the identified successor has n=2"):
             step(model, wrong, 0)
 
     def test_step_rejects_a_state_the_model_rejects(self):
-        model = _toy_model(_sign_encoder)
+        model = _toy_model(_sign_identify)
         with pytest.raises(DomainError, match="'not-an-int' is outside the model's state space"):
             step(model, actual_state(model, 0), "not-an-int")
 
@@ -191,22 +189,22 @@ class TestActualStateAndStep:
 class TestInferState:
     def test_unique_candidate_returned(self):
         target = MetaCausalState([["⊥", "+"], ["⊥", "⊥"]])
-        model = _toy_model(_sign_encoder, candidates=lambda obs: frozenset({target}))
+        model = _toy_model(_sign_identify, candidates=lambda obs: frozenset({target}))
         assert infer_state(model, [1, 2, 3]) == target
 
     def test_multiple_candidates_ambiguous(self):
         pos = MetaCausalState([["⊥", "+"], ["⊥", "⊥"]])
         neg = MetaCausalState([["⊥", "-"], ["⊥", "⊥"]])
-        model = _toy_model(_sign_encoder, candidates=lambda obs: frozenset({pos, neg}))
+        model = _toy_model(_sign_identify, candidates=lambda obs: frozenset({pos, neg}))
         assert infer_state(model, [1]) is AMBIGUOUS
 
     def test_empty_candidates_error(self):
-        model = _toy_model(_sign_encoder, candidates=lambda obs: frozenset())
+        model = _toy_model(_sign_identify, candidates=lambda obs: frozenset())
         with pytest.raises(NoConsistentStateError):
             infer_state(model, [1])
 
     def test_empty_observations_rejected(self):
-        model = _toy_model(_sign_encoder, candidates=lambda obs: frozenset())
+        model = _toy_model(_sign_identify, candidates=lambda obs: frozenset())
         with pytest.raises(ValueError):
             infer_state(model, [])
 
@@ -216,23 +214,21 @@ class TestInferState:
 
 class TestReducibility:
     def test_constant_encoder_reducible(self):
-        model = _toy_model(lambda s, i, j: POS if (i, j) == (0, 1) else NO_EDGE)
+        model = _toy_model(lambda s: _edge_01(POS))
         assert is_reducible(model, range(-5, 6))
 
     def test_sign_change_not_reducible(self):
-        model = _toy_model(_sign_encoder)
+        model = _toy_model(_sign_identify)
         # stepping -1 -> 0 flips the edge type
         assert not is_reducible(model, [-1])
 
     def test_empty_probe_set_rejected(self):
-        model = _toy_model(_sign_encoder)
+        model = _toy_model(_sign_identify)
         with pytest.raises(ValueError):
             is_reducible(model, [])
 
     def test_reducible_implies_constant_trajectories(self):
-        model = _toy_model(
-            lambda s, i, j: POS if (i, j) == (0, 1) else NO_EDGE
-        )
+        model = _toy_model(lambda s: _edge_01(POS))
         probes = list(range(-3, 4))
         assert is_reducible(model, probes)
         for s in probes:
@@ -243,13 +239,13 @@ class TestReducibility:
                 t = t_next
 
     def test_reduction_table(self):
-        model = _toy_model(_sign_encoder, transition=lambda s, rng=None: s)
+        model = _toy_model(_sign_identify, transition=lambda s, rng=None: s)
         table = reduction_table(model, [-2, -1, 0, 1])
         assert len(table) == 2
         assert set(table) == {0, 1}
 
     def test_reduction_table_keeps_first_appearance_order(self):
-        model = _toy_model(_sign_encoder, transition=lambda s, rng=None: s)
+        model = _toy_model(_sign_identify, transition=lambda s, rng=None: s)
         pos, neg = actual_state(model, 0), actual_state(model, -1)
         assert reduction_table(model, [3, -1, 2, -4, 0]) == {0: pos, 1: neg}
         assert list(reduction_table(model, [-1, 3, -2]).values()) == [neg, pos]
@@ -257,13 +253,13 @@ class TestReducibility:
     def test_each_probe_is_identified_twice(self):
         calls = []
 
-        def encoder(s, i, j):
+        def identify(s):
             calls.append(s)
-            return POS if (i, j) == (0, 1) else NO_EDGE
+            return _edge_01(POS)
 
-        model = _toy_model(encoder, transition=lambda s, rng=None: s)
+        model = _toy_model(identify, transition=lambda s, rng=None: s)
         reduction_table(model, [1, 2, 3])
-        assert len(calls) == 3 * 2 * 4  # before and after each step, 4 entries each
+        assert calls == [1, 1, 2, 2, 3, 3]  # before and after each step, the whole matrix each time
 
     def test_the_check_stops_stepping_at_the_first_probe_that_moves(self):
         stepped = []
@@ -272,11 +268,11 @@ class TestReducibility:
             stepped.append(s)
             return s + 1
 
-        model = _toy_model(_sign_encoder, transition=transition)
+        model = _toy_model(_sign_identify, transition=transition)
         assert not is_reducible(model, [3, -1, 5])
         assert stepped == [3, -1]
 
     def test_reduction_table_requires_reducibility(self):
-        model = _toy_model(_sign_encoder)
+        model = _toy_model(_sign_identify)
         with pytest.raises(ValueError):
             reduction_table(model, [-1])

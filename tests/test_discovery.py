@@ -500,6 +500,28 @@ class TestValidateK:
         assert not ok
         assert results == (None,)
 
+    def test_the_dominance_filter_rejects_the_true_lines_pinned(self):
+        # The validation gap, as exact counts on a fixed corpus: the cutoff
+        # assumes a whole Laplace sample, but the filter drops the tails that
+        # A^2 weighs most, so the true lines fail far more often on their
+        # filtered points than on their labelled ones.
+        from metacausal.em import MixtureState, mixture_log_likelihood, responsibilities
+        from metacausal.stats import anderson_darling_laplace
+
+        filtered_rejections = labelled_rejections = passes = 0
+        for seed in range(3000, 3020):
+            ds = random_dataset(2, 0.0, seed)
+            truth = ds.generator.mechanisms
+            state = MixtureState(truth, responsibilities(ds, truth), mixture_log_likelihood(ds, truth))
+            ok, results = validate_k(ds, state)
+            passes += ok
+            filtered_rejections += sum(r is None or not r.passed for r in results)
+            for j, mech in enumerate(truth):
+                own = ds.labels == j
+                outcome = anderson_darling_laplace(mech.residuals(ds.x[own], ds.y[own]))
+                labelled_rejections += not outcome.passed
+        assert (filtered_rejections, labelled_rejections, passes) == (10, 2, 13)
+
 
 class TestRecoverMechanismCount:
     def test_empty_dataset_rejected(self):

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ import pytest
 from metacausal.core import (
     AMBIGUOUS,
     NO_EDGE,
+    MetaCausalState,
     actual_state,
     infer_state,
     is_reducible,
+    reduction_table,
     step,
 )
+from metacausal.systems import locks
 from metacausal.systems.follower import (
     EDGE_ABSENT_STATE,
     EDGE_PRESENT_STATE,
@@ -452,10 +456,41 @@ class TestLocks:
     ],
 )
 def test_system_models_stay_in_their_domains(model, n, start):
-    # The size has one source, and step checks every label against the domain.
-    assert model.n == model.id_fn.n == n
+    # The identified matrix has the system's size, and step checks every
+    # successor's size and labels against it and the domain.
     rng = np.random.default_rng(5)
     s = start(rng)
     t = actual_state(model, s)
+    assert t.n == n
     for _ in range(50):
         t, s = step(model, t, s, rng)
+
+
+def test_locks_model_identifies_each_probe_once_a_side():
+    probes = [LocksState(), LocksState(lock1=Lock.OPEN), LocksState(Lock.OPEN, Lock.OPEN)]
+    with mock.patch.object(locks, "locks_identify", wraps=locks.locks_identify) as identify:
+        table = reduction_table(locks_model(), probes)
+    assert identify.call_count == 6  # before and after each probe's step
+    assert list(table.values()) == [locks_identify(p) for p in probes]
+
+
+def test_tag_model_identifies_the_motion_of_each_step():
+    model = tag_model()
+    episode = run_episode(500, np.random.default_rng(3))
+    for prev, curr in zip(episode, episode[1:]):
+        assert actual_state(model, curr) == tag_identify(prev, curr)
+
+
+@pytest.mark.parametrize(
+    "policy, expected",
+    [(Policy.FOLLOWING, EDGE_PRESENT_STATE), (Policy.STANDING_STILL, EDGE_ABSENT_STATE)],
+)
+def test_follower_model_identifies_the_edge_by_policy(policy, expected):
+    assert actual_state(follower_model(), FollowerState(0.0, 2.0, policy)) == expected
+
+
+def test_stress_model_identifies_the_driving_edge_and_the_self_label():
+    model = stress_model()
+    for level in np.linspace(0.0, 1.0, 21):
+        expected = MetaCausalState([["⊥", "1"], ["⊥", stress_identify(level)]])
+        assert actual_state(model, StressState(float(level), ext=0.3)) == expected

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -100,19 +101,23 @@ class GeneratorInfo:
 
 @dataclass
 class Dataset:
-    """Bivariate samples with optional mechanism labels and generator info."""
+    """Bivariate samples with optional mechanism labels and generator info.
+
+    ``points`` is stored as a read-only column-major copy, so that x and y
+    are contiguous views and :attr:`slope_orders` stays true to them.
+    """
 
     points: np.ndarray  # (m, 2) columns x, y
     labels: np.ndarray | None = None
     generator: GeneratorInfo | None = None
 
     def __post_init__(self) -> None:
-        points = np.asarray(self.points, dtype=float)
+        points = np.array(self.points, dtype=float, order="F")
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError(f"points must have shape (m, 2), got {points.shape}")
         check_finite("points", points)
-        # Column-major, so that x and y are contiguous views.
-        self.points = np.asfortranarray(points)
+        points.flags.writeable = False
+        self.points = points
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=int)
             if len(self.labels) != len(self.points):
@@ -129,6 +134,13 @@ class Dataset:
     @property
     def m(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def slope_orders(self) -> tuple[dict, dict]:
+        """The x-to-y and y-to-x slope-order caches of :func:`stats.l1_fit`
+        for these points, filled as fits run.  An order does not depend on
+        the weights, so sharing them among all fits moves no bit of a line."""
+        return {}, {}
 
 
 def class_probabilities(k: int, d: float) -> np.ndarray:
@@ -190,14 +202,11 @@ def generate_dataset(
     m = len(mechs) * n_per_class_avg
     labels = rng.choice(len(mechs), size=m, p=probs)
     cause = rng.uniform(*CAUSE_RANGE, size=m)
-    noise = np.empty(m)
-    for j, mech in enumerate(mechs):
-        sel = labels == j
-        noise[sel] = sample_laplace(rng, mech.b, size=int(sel.sum()))
     points = np.empty((m, 2), order="F")
     for j, mech in enumerate(mechs):
         sel = labels == j
-        effect = mech.alpha * cause[sel] + mech.beta + noise[sel]
+        noise = sample_laplace(rng, mech.b, size=int(sel.sum()))
+        effect = mech.alpha * cause[sel] + mech.beta + noise
         if mech.direction is Direction.XY:
             points[sel, 0], points[sel, 1] = cause[sel], effect
         else:

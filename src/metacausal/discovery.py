@@ -27,13 +27,15 @@ A candidate k's restarts are independent trials, each with its own spawned
 random stream, so a stage of k >= 2 with at least four restarts per worker
 fans them out over a process pool of the usable cores (the process's CPU
 affinity, so ``taskset`` limits them).  One search opens at most one pool,
-at its first stage that fans out, and closes it when the search ends; each
-worker holds the dataset and its own slope-order cache for every stage it
-serves, and the stages run here share one cache too.  The parent reduces
-the results in restart order by the serial rule, so the winner is the same
-bit for bit whatever the core count.  A k = 1 stage, which stops after its
-first usable restart, a smaller stage, and any stage run inside a worker
-process stay in-process, so pools never nest.
+at its first stage that fans out, and closes it when the search ends.  The
+slope orders of the line fits live in the dataset
+(:attr:`datagen.Dataset.slope_orders`), as long as it does: the stages run
+here fill the caller's dataset's orders, and each worker its own copy's,
+for every stage it serves.  The parent reduces the results in restart order
+by the serial rule, so the winner is the same bit for bit whatever the core
+count.  A k = 1 stage, which stops after its first usable restart, a
+smaller stage, and any stage run inside a worker process stay in-process,
+so pools never nest.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ __all__ = [
 # A stage fans out only with at least this many restarts per worker process:
 # on a 2-core Xeon, opening a pool of two workers and closing it costs
 # 11-17 ms, a k = 1 restart on 100 points 0.7-0.8 ms, and a k = 4 restart on
-# 2000 points 35-55 ms on one core (with the search's slope-order cache warm,
-# or filling).
+# 2000 points 35-55 ms on one core (with the dataset's slope orders warm, or
+# filling).
 _MIN_RESTARTS_PER_WORKER = 4
 
 # Runner-up margin of the dominance filter (see :func:`dominance_filter`).
@@ -230,17 +232,10 @@ def map_tasks(fn, tasks: list, workers: int, chunksize: int = 1) -> list:
         return pool.map(tasks, chunksize)
 
 
-def _run_restarts(
-    data: Dataset, orders: tuple[dict, dict], task
-) -> list[tuple[tuple, float] | None]:
+def _run_restarts(data: Dataset, task) -> list[tuple[tuple, float] | None]:
     """EM restarts of ``task = (k, children)`` on ``data``, one per child
     generator in order: None when every seed draw was degenerate, else the
     fitted mechanisms and their log-likelihood.
-
-    ``orders`` is the slope-order cache of ``data`` (see :func:`em.run_em`).
-    It belongs to the search, not to the task, so an anchor sorted by one
-    restart is not sorted again by a later restart of any stage run in the
-    same process.
 
     At k = 1, on a dataset whose y values hold at least two distinct values,
     the loop stops after the first restart that draws a usable seed, because
@@ -262,7 +257,7 @@ def _run_restarts(
         if init is None:
             outcomes.append(None)
             continue
-        fitted = run_em(data, init, orders)
+        fitted = run_em(data, init)
         outcomes.append((fitted.mechanisms, fitted.log_likelihood))
         if seed_free:
             break
@@ -270,9 +265,9 @@ def _run_restarts(
 
 
 def _search_pool(data: Dataset) -> _TaskPool:
-    """One search on ``data``: each process holds the dataset and its own
-    slope-order pair for every ``(k, children)`` task it runs."""
-    return _TaskPool(_run_restarts, usable_cores(), (data, ({}, {})))
+    """One search on ``data``: each process holds the dataset, and with it
+    its own slope orders, for every ``(k, children)`` task it runs."""
+    return _TaskPool(_run_restarts, usable_cores(), (data,))
 
 
 def lo_ransac_best(
@@ -297,8 +292,10 @@ def lo_ransac_best(
     and the winner's responsibilities are recomputed from its mechanisms,
     which gives the bits the EM run ended with.  So the result does not
     depend on the core count.  A call runs as a search of one stage: its
-    pool and slope-order caches end with it.  (:func:`recover_mechanism_count`
-    passes the private ``_search`` so that its stages share them.)
+    pool, and the workers' copies of the slope orders, end with it, while
+    the orders filled here live as long as ``data``.
+    (:func:`recover_mechanism_count` passes the private ``_search`` so that
+    its stages share one pool.)
 
     A k = 1 stage always runs here, as one slice that may stop after its
     first usable restart (see :func:`_run_restarts`): every later usable
@@ -385,8 +382,10 @@ def recover_mechanism_count(data: Dataset, config: DiscoveryConfig) -> Discovery
     k_hat = 0 (no decision) when none does, and with empty diagnostics when
     all x values are equal, since no seed pair could then span a line.  A
     stage whose every restart drew only degenerate seed pairs also ends the
-    search with k_hat = 0; its k has no diagnostics.  Fully deterministic
-    given the dataset and ``config.master_seed``.
+    search with k_hat = 0; its k has no diagnostics.  Exactly collinear
+    points also get k_hat = 0: the k = 1 line is exact, so its residuals are
+    rounding noise that fails the A^2 test.  Fully deterministic given the
+    dataset and ``config.master_seed``.
     """
     if data.m == 0:
         raise ValueError("dataset is empty")

@@ -20,9 +20,8 @@ current state (see :func:`run_em`).  With one mechanism every responsibility
 is exactly 1, so a k = 1 run stops after its first step.
 
 The slope orders the line fits sort do not depend on the responsibilities,
-so a run keeps them in one cache for all its steps, and a caller running
-several restarts on one dataset may share one cache among them (see
-:func:`run_em`).
+so every fit on a dataset reads them from its one cache,
+:attr:`datagen.Dataset.slope_orders`, which lives as long as the dataset.
 """
 
 from __future__ import annotations
@@ -197,15 +196,9 @@ def mixture_log_likelihood(data: Dataset, mechs) -> float:
     return float(np.sum(mx + np.log(np.mean(np.exp(logp - mx), axis=0))))
 
 
-def _refit_mechanism(
-    data: Dataset, weights: np.ndarray, old: MechanismParams, orders: tuple[dict, dict]
-) -> MechanismParams:
-    """Weighted L1 re-fit in both directions; keep the more Laplace-looking one.
-
-    ``orders`` holds the x-to-y and the y-to-x slope-order caches of
-    :func:`l1_fit`.
-    """
-    orders_xy, orders_yx = orders
+def _refit_mechanism(data: Dataset, weights: np.ndarray, old: MechanismParams) -> MechanismParams:
+    """Weighted L1 re-fit in both directions; keep the more Laplace-looking one."""
+    orders_xy, orders_yx = data.slope_orders
     try:
         a_xy, b_xy = l1_fit(data.x, data.y, weights, orders=orders_xy)
         a_yx, b_yx = l1_fit(data.y, data.x, weights, orders=orders_yx)
@@ -223,10 +216,7 @@ def _refit_mechanism(
 
 
 def em_step(
-    data: Dataset,
-    mechanisms: tuple[MechanismParams, ...],
-    resp: np.ndarray,
-    orders: tuple[dict, dict] | None = None,
+    data: Dataset, mechanisms: tuple[MechanismParams, ...], resp: np.ndarray
 ) -> tuple[MechanismParams, ...]:
     """One M-step: the mechanisms re-fitted under the (m, k) responsibilities
     ``resp``.
@@ -234,42 +224,27 @@ def em_step(
     Mechanisms whose total responsibility falls below two effective points
     are frozen at their previous parameters for the step, as is a mechanism
     whose re-fit raises :class:`DegenerateFitError`.  The caller recomputes
-    responsibilities from the result (see :func:`run_em`).  ``orders`` is
-    the slope-order cache of ``data`` (see :func:`run_em`); without one the
-    step uses its own.
+    responsibilities from the result (see :func:`run_em`).
     """
     if resp.shape != (data.m, len(mechanisms)):
         raise ValueError("responsibilities do not match the dataset")
-    if orders is None:
-        orders = ({}, {})
     new_mechs = []
     for j, old in enumerate(mechanisms):
         w = resp[:, j]
         if float(w.sum()) < _MIN_EFFECTIVE_POINTS:
             new_mechs.append(old)
             continue
-        new_mechs.append(_refit_mechanism(data, w, old, orders))
+        new_mechs.append(_refit_mechanism(data, w, old))
     return tuple(new_mechs)
 
 
-def run_em(
-    data: Dataset,
-    mechanisms: tuple[MechanismParams, ...],
-    orders: tuple[dict, dict] | None = None,
-) -> MixtureState:
+def run_em(data: Dataset, mechanisms: tuple[MechanismParams, ...]) -> MixtureState:
     """Project the seed mechanisms onto the dataset, apply up to the step
     budget of EM steps, and score the result once.
 
     The budget is 5 steps for k <= 2 mechanisms and 10 for k >= 3.  After
     each :func:`em_step` the responsibilities are recomputed; the mixture
     log-likelihood is computed once, for the returned state.
-
-    ``orders`` is the slope-order cache of ``data``: a pair of dicts, the
-    first for the x-to-y fits and the second for the y-to-x fits, each
-    passed to :func:`l1_fit` as its ``orders``.  The orders depend on the
-    dataset alone, so every run on ``data`` may share one pair, and sharing
-    changes no bit of the result, only the sorts it skips.  Without one the
-    run uses its own for all its steps.
 
     The run stops before a step whose input responsibilities equal, bit for
     bit, those the previous step received, and the result is the one the
@@ -287,15 +262,13 @@ def run_em(
     exactly 1, so the run stops after step 1.  Responsibilities are finite
     and never -0.0, so ``np.array_equal`` compares their bits.
     """
-    if orders is None:
-        orders = ({}, {})
     resp = responsibilities(data, mechanisms)
     previous = None
     for _ in range(5 if len(mechanisms) <= 2 else 10):
         if previous is not None and np.array_equal(resp, previous):
             break
         previous = resp
-        mechanisms = em_step(data, mechanisms, resp, orders)
+        mechanisms = em_step(data, mechanisms, resp)
         resp = responsibilities(data, mechanisms)
     return MixtureState(mechanisms, resp, mixture_log_likelihood(data, mechanisms))
 

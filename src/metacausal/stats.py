@@ -227,10 +227,11 @@ def l1_fit(xs, ys, weights=None, orders=None) -> tuple[float, float]:
     :func:`_anchored_line`).  An order depends on ``xs``, ``ys`` and the
     anchor, not on the weights, so a dict may serve every fit of the same
     two columns in the same roles: a caller that re-fits one dataset under
-    changing weights keeps one dict per direction.  A dict filled from other
-    columns gives wrong lines.  A fit whose weights hold a zero runs on the
-    positively weighted subset and neither reads nor fills the dict.  With
-    no dict, the fit uses a throwaway one.
+    changing weights keeps one dict per direction.  The pipeline keeps them
+    in :attr:`datagen.Dataset.slope_orders`, its one cache per column pair.
+    A dict filled from other columns gives wrong lines.  A fit whose weights
+    hold a zero runs on the positively weighted subset and neither reads nor
+    fills the dict.  With no dict, the fit uses a throwaway one.
 
     Raises
     ------
@@ -483,7 +484,8 @@ def weighted_ad_statistic_laplace(residuals, weights) -> float:
     order = np.argsort(r)
     r, w = r.take(order), w.take(order)
     if not (math.isfinite(r[0]) and math.isfinite(r[-1])):  # sorted: -inf first, +inf and NaN last
-        check_finite("residuals", np.asarray(residuals, dtype=float))
+        # Name the first bad kept residual, in the caller's rows.
+        check_finite("residuals", np.where(keep, residuals, 0.0))
     total = float(w.sum())
     if not math.isfinite(total):
         raise ValueError(f"weights must have a finite sum, got {total}")

@@ -50,6 +50,18 @@ class TestDataset:
         with pytest.raises(ValueError, match=rf"points must be finite, got \[{x}, {bad}\] in row 7"):
             Dataset(points)
 
+    def test_points_are_read_only(self):
+        ds = Dataset(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="read-only"):
+            ds.points[0, 0] = 1.0
+
+    def test_points_are_a_copy_of_the_callers_array(self):
+        points = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        ds = Dataset(points)
+        assert ds.points is not points and not np.shares_memory(ds.points, points)
+        points[0, 0] = 9.0
+        assert points.flags.writeable and ds.points[0, 0] == 0.0
+
     def test_labels_must_match_the_points(self):
         with pytest.raises(ValueError, match="labels must match the number of points"):
             Dataset(np.zeros((3, 2)), labels=[0, 1])

@@ -25,6 +25,7 @@ from metacausal.discovery import (
     validate_k,
 )
 from metacausal.em import check_convergence, draw_seed_state, run_em
+from metacausal.stats import ADTestResult, B_FLOOR
 
 
 class TestConfig:
@@ -157,7 +158,7 @@ class _CannedRestarts:
     def __init__(self, mechs, scores):
         self.mechs, self.scores = mechs, scores
 
-    def __call__(self, data, orders, task):
+    def __call__(self, data, task):
         _, children = task
         index = [child.bit_generator.seed_seq.spawn_key[-1] for child in children]
         return [(self.mechs[i], self.scores[i]) if i in self.scores else None for i in index]
@@ -166,11 +167,11 @@ class _CannedRestarts:
 _RUN_RESTARTS = discovery._run_restarts
 
 
-def _fail_in_a_worker(data, orders, task):
+def _fail_in_a_worker(data, task):
     """The restart loop, raising in a pool worker."""
     if multiprocessing.parent_process() is not None:
         raise FloatingPointError("restart failed in a worker")
-    return _RUN_RESTARTS(data, orders, task)
+    return _RUN_RESTARTS(data, task)
 
 
 _VALIDATE_K = discovery.validate_k
@@ -372,9 +373,9 @@ def _count_runs(monkeypatch):
     calls = {"n": 0}
     original = discovery.run_em
 
-    def counting(data, mechanisms, orders=None):
+    def counting(data, mechanisms):
         calls["n"] += 1
-        return original(data, mechanisms, orders)
+        return original(data, mechanisms)
 
     monkeypatch.setattr(discovery, "run_em", counting)
     return calls
@@ -560,6 +561,23 @@ class TestRecoverMechanismCount:
         assert {
             k: d.state.log_likelihood for k, d in a.per_k.items()
         } == {k: d.state.log_likelihood for k, d in b.per_k.items()}
+
+    def test_the_search_fills_the_dataset_orders(self, monkeypatch):
+        monkeypatch.setattr(discovery, "usable_cores", lambda: 1)
+        ds = random_dataset(2, 0.0, seed=6, n_per_class_avg=100)
+        recover_mechanism_count(ds, DiscoveryConfig(k_max=2))
+        assert all(ds.slope_orders)
+
+    def test_exactly_collinear_points_get_no_decision_pinned(self):
+        # The k = 1 line is exact, so its residuals are rounding noise and
+        # fail the A^2 test; at k = 2-4 no mechanism keeps enough dominant
+        # points to be tested.  ROADMAP item 5 decides this case.
+        x = np.linspace(-5, 5, 30)
+        res = recover_mechanism_count(Dataset(np.column_stack([x, 2 * x + 1])), DiscoveryConfig(k_max=4))
+        assert res.k_hat == 0 and list(res.per_k) == [1, 2, 3, 4]
+        assert res.per_k[1].state.mechanisms == (MechanismParams(2.0, 1.0, B_FLOOR),)
+        assert res.per_k[1].ad_results == (ADTestResult(11.588830833596724, 0.9649880902876481, False, 30),)
+        assert all(res.per_k[k].ad_results == (None,) * k for k in (2, 3, 4))
 
     def test_constant_x_gets_no_decision(self):
         y = np.random.default_rng(19).normal(size=60)

@@ -299,9 +299,9 @@ def _count_steps(monkeypatch):
     calls = {"n": 0}
     original = em_mod.em_step
 
-    def counting(data, mechanisms, resp, orders=None):
+    def counting(data, mechanisms, resp):
         calls["n"] += 1
-        return original(data, mechanisms, resp, orders)
+        return original(data, mechanisms, resp)
 
     monkeypatch.setattr(em_mod, "em_step", counting)
     return calls
@@ -371,6 +371,16 @@ class TestRunEM:
         if k == 1:
             assert steps == 1
 
+    def test_a_second_run_reads_the_dataset_orders(self):
+        ds = random_dataset(2, 0.0, seed=9, n_per_class_avg=100)
+        init = _seeded_init(ds, 2, 4)
+        first = run_em(ds, init)
+        filled = [set(cache) for cache in ds.slope_orders]
+        assert all(filled)
+        second = run_em(ds, init)
+        assert [set(cache) for cache in ds.slope_orders] == filled
+        assert _bits(second) == _bits(first)
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_step_budget_by_k(self, monkeypatch, k):
         # A stand-in step that always moves the lines never reaches a fixed point.
@@ -378,7 +388,7 @@ class TestRunEM:
 
         calls = {"n": 0}
 
-        def moving_step(data, mechanisms, resp, orders=None):
+        def moving_step(data, mechanisms, resp):
             calls["n"] += 1
             return tuple(replace(m, alpha=m.alpha + 0.01) for m in mechanisms)
 

@@ -80,6 +80,11 @@ def _weighted_ad_statistic_laplace(data):
     if data.draw(st.booleans()):
         row = data.draw(st.sampled_from(sorted(kept)))
         residuals[row] = bad
+        dropped = [i for i in range(row) if i not in kept]
+        if dropped and data.draw(st.booleans()):
+            # A dropped point's residual is never read, so the error still
+            # names the kept row, even after an earlier non-finite one.
+            residuals[data.draw(st.sampled_from(dropped))] = data.draw(st.sampled_from(BAD))
         message = f"residuals must be finite, got {bad} in row {row}"
     else:
         weights[data.draw(st.integers(0, n - 1))] = bad

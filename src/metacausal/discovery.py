@@ -171,14 +171,14 @@ def usable_cores() -> int:
 class _TaskPool:
     """Runs ``fn(*held, task)`` for each task of each :meth:`map` call.
 
-    A call runs here when it asks not to fan out, when fewer than two
-    ``workers`` are given, or inside a worker process, so pools never nest.
-    Otherwise it runs over one process pool of ``workers`` processes, opened
-    at the first call that fans out and kept for every later one.  The
-    pool's initializer gives each worker ``fn`` and its own copy of ``held``
-    as it stands then, so a task carries only itself.  Use it in a ``with``
-    block: the pool is shut down, its pending tasks cancelled and its
-    workers joined when the block ends, whether it returns or raises.
+    A call of fewer than two tasks runs here, as does every call when fewer
+    than two ``workers`` are given or inside a worker process, so pools never
+    nest.  Any other call runs over one process pool of ``workers``
+    processes, opened at the first such call and kept for every later one.
+    The pool's initializer gives each worker ``fn`` and its own copy of
+    ``held`` as it stands then, so a task carries only itself.  Use it in a
+    ``with`` block: the pool is shut down, its pending tasks cancelled and
+    its workers joined when the block ends, whether it returns or raises.
     """
 
     def __init__(self, fn, workers: int, held: tuple = ()) -> None:
@@ -194,9 +194,9 @@ class _TaskPool:
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
 
-    def map(self, tasks: list, chunksize: int = 1, fan_out: bool = True) -> list:
+    def map(self, tasks: list, chunksize: int = 1) -> list:
         """``[fn(*held, t) for t in tasks]``, in task order."""
-        if not fan_out or self._workers < 2 or multiprocessing.parent_process() is not None:
+        if len(tasks) < 2 or self._workers < 2 or multiprocessing.parent_process() is not None:
             return [self._fn(*self._held, t) for t in tasks]
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
@@ -237,20 +237,17 @@ def _run_restarts(data: Dataset, task) -> list[tuple[tuple, float] | None]:
     generator in order: None when every seed draw was degenerate, else the
     fitted mechanisms and their log-likelihood.
 
-    At k = 1, on a dataset whose y values hold at least two distinct values,
-    the loop stops after the first restart that draws a usable seed, because
-    every later one would return the same outcome (or raise, where its seed
-    line's residuals overflow a float).  A usable seed pair has two distinct
-    x values, so x varies too.  The projected seed gives every point a
-    responsibility of exactly 1, so EM step 1 fits unit weights whatever the
-    seed: the weight sum m >= 2 freezes nothing, and neither direction's
-    ``l1_fit`` is degenerate when x and y both vary.  The run then stops
-    after that step (see :func:`run_em`), so its mechanisms and
-    log-likelihood do not depend on the seed.  When all y are equal, every
-    restart runs.
+    At k = 1 the loop stops after the first restart that draws a usable
+    seed: every later one would score the same log-likelihood, so under the
+    strict ``>`` of :func:`lo_ransac_best` it could not win, also when that
+    log-likelihood is NaN.  A usable pair has two distinct x values, and
+    every responsibility is exactly 1, so EM step 1 fits unit weights of sum
+    m >= 2 whatever the seed, and the run stops after it (see
+    :func:`run_em`).  When y varies too, that fit does not depend on the
+    seed; when all y equal c, the y-to-x fit is degenerate and the step
+    keeps the seed line y = c, the same up to the sign of its zero slope.
     """
     k, children = task
-    seed_free = k == 1 and not np.all(data.y == data.y[0])
     outcomes = []
     for child in children:
         init = draw_seed_state(data, k, child, init_from_pairs)
@@ -259,7 +256,7 @@ def _run_restarts(data: Dataset, task) -> list[tuple[tuple, float] | None]:
             continue
         fitted = run_em(data, init)
         outcomes.append((fitted.mechanisms, fitted.log_likelihood))
-        if seed_free:
+        if k == 1:
             break
     return outcomes
 
@@ -286,40 +283,38 @@ def lo_ransac_best(
     ``rng`` so results do not depend on evaluation order.
 
     At k >= 2, with at least four restarts per worker and two usable cores
-    (see :func:`usable_cores`), the restarts run as contiguous slices over a
-    process pool; otherwise, and inside a worker process, they run here.
-    Either way the outcomes are reduced in restart order by the same rule,
-    and the winner's responsibilities are recomputed from its mechanisms,
-    which gives the bits the EM run ended with.  So the result does not
-    depend on the core count.  A call runs as a search of one stage: its
+    (see :func:`usable_cores`), the restarts are cut into contiguous slices
+    that run over a process pool; otherwise they run here as one slice, as
+    they do inside a worker process.  Either way the outcomes are reduced in
+    restart order by the same rule, and the winner's responsibilities are
+    recomputed from its mechanisms, which gives the bits the EM run ended
+    with.  So the result does not depend on the core count.  A call runs as a search of one stage: its
     pool, and the workers' copies of the slope orders, end with it, while
     the orders filled here live as long as ``data``.
     (:func:`recover_mechanism_count` passes the private ``_search`` so that
     its stages share one pool.)
 
-    A k = 1 stage always runs here, as one slice that may stop after its
-    first usable restart (see :func:`_run_restarts`): every later usable
-    restart would return the same mechanisms and log-likelihood, so under
-    the strict ``>`` it could not replace the first, also when that
-    log-likelihood is NaN.  The winner is the one the full budget gives, and
-    slices over a pool would each run their own first usable restart.
+    A k = 1 stage always runs here, as one slice that stops after its first
+    usable restart, with the winner the full budget gives (see
+    :func:`_run_restarts`); slices over a pool would each run their own.
 
     Raises
     ------
     DegeneratePairError
-        If every restart drew only degenerate seed pairs.
+        If the stage cannot seed: ``data`` holds fewer than 2k points, or
+        every restart drew only degenerate seed pairs.
     """
     if n_resamples < 1:
         raise ValueError(f"need at least one restart, got {n_resamples}")
     if data.m < 2 * k:
-        raise ValueError(f"need at least {2 * k} points for k={k}, got {data.m}")
+        raise DegeneratePairError(f"need at least {2 * k} points for k={k}, got {data.m}")
     children = rng.spawn(n_resamples)
     workers = min(usable_cores(), n_resamples // _MIN_RESTARTS_PER_WORKER) if k > 1 else 1
     n_slices = min(n_resamples, workers * _SLICES_PER_WORKER) if workers >= 2 else 1
     cuts = [i * n_resamples // n_slices for i in range(n_slices + 1)]
     tasks = [(k, children[a:b]) for a, b in zip(cuts, cuts[1:])]
     with _search_pool(data) if _search is None else nullcontext(_search) as search:
-        outcomes = search.map(tasks, fan_out=workers >= 2)
+        outcomes = search.map(tasks)
     best = None
     for outcome in chain.from_iterable(outcomes):
         if outcome is not None and (best is None or outcome[1] > best[1]):
@@ -379,23 +374,19 @@ def recover_mechanism_count(data: Dataset, config: DiscoveryConfig) -> Discovery
 
     Runs the restart-budgeted RANSAC/EM for k = 1..k_max in order and
     returns the first k whose mechanisms all pass residual validation;
-    k_hat = 0 (no decision) when none does, and with empty diagnostics when
-    all x values are equal, since no seed pair could then span a line.  A
-    stage whose every restart drew only degenerate seed pairs also ends the
-    search with k_hat = 0; its k has no diagnostics.  Exactly collinear
-    points also get k_hat = 0: the k = 1 line is exact, so its residuals are
-    rounding noise that fails the A^2 test.  Fully deterministic given the
-    dataset and ``config.master_seed``.
+    k_hat = 0 (no decision) when none does.  A stage that cannot seed (see
+    :func:`lo_ransac_best`) ends the search with k_hat = 0, and its k has no
+    diagnostics: with fewer than 2k points, or when every draw holds a
+    vertical pair, as on data whose x values are all equal.  Exactly
+    collinear points also get k_hat = 0: the k = 1 line is exact, so its
+    residuals are rounding noise that fails the A^2 test.  Fully
+    deterministic given the dataset and ``config.master_seed``.
     """
     if data.m == 0:
         raise ValueError("dataset is empty")
     per_k: dict[int, KDiagnostics] = {}
-    if np.all(data.x == data.x[0]):
-        return DiscoveryResult(0, per_k)
     with _search_pool(data) as search:
         for k in range(1, config.k_max + 1):
-            if data.m < 2 * k:
-                break
             n_resamples = resamples_for(k, config)
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=config.master_seed, spawn_key=(k,))

@@ -68,8 +68,9 @@ CONVERGENCE_TOL = 0.2
 
 
 class DegeneratePairError(ValueError):
-    """A seed pair shares its x value, so the caller should draw a fresh pair;
-    or, from a restart stage, no draw gave a usable pair."""
+    """A seed pair spans no finite line, so the caller draws again; or a
+    restart stage cannot seed (fewer than 2k points, or only degenerate
+    draws), so a search ends there."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +91,7 @@ def init_from_pairs(points) -> tuple[MechanismParams, ...]:
     Raises
     ------
     DegeneratePairError
-        If a pair has equal x or its slope overflows; the caller resamples.
+        If a pair has equal x or its line overflows; the caller resamples.
     ValueError
         If the points are not an (m, 2) array with m positive and even.
     """
@@ -106,9 +107,10 @@ def init_from_pairs(points) -> tuple[MechanismParams, ...]:
         if dx == 0.0:
             raise DegeneratePairError("seed pair shares its x value")
         alpha = (y1 - y0) / dx
-        if not math.isfinite(alpha):
-            raise DegeneratePairError("seed pair yields a non-finite slope")
-        mechs.append(MechanismParams(alpha, y0 - alpha * x0, 1.0, Direction.XY))
+        beta = y0 - alpha * x0  # finite only if alpha is (at x0 = 0 an infinite alpha gives NaN)
+        if not math.isfinite(beta):
+            raise DegeneratePairError("seed pair yields a non-finite slope or intercept")
+        mechs.append(MechanismParams(alpha, beta, 1.0, Direction.XY))
     return tuple(mechs)
 
 
@@ -118,17 +120,22 @@ def draw_seed_state(
     """Seed k mechanisms from 2k distinct random points of ``data``.
 
     Draws ``rng.choice(data.m, 2k, replace=False)`` and returns ``init`` of
-    the drawn points, redrawing while the draw holds a degenerate pair; after
-    100 degenerate draws it returns None.  Callers pass their own binding of
+    the drawn points, redrawing while the draw holds a degenerate pair or a
+    line whose residuals on ``data`` could overflow; after 100 such draws it
+    returns None.  Callers pass their own binding of
     :func:`init_from_pairs` as ``init``, so that a wrapper patched into the
     calling module (the benchmark's tracer) sees every seeding call.
     """
+    # |residual| <= max|y| + |alpha| max|x| + |beta|: in Python floats, inf with no warning.
+    x_top, y_top = np.abs(data.points).max(axis=0).tolist()
     for _ in range(_SEED_PAIR_RETRIES):
         idx = rng.choice(data.m, size=2 * k, replace=False)
         try:
-            return init(data.points[idx])
+            mechs = init(data.points[idx])
         except DegeneratePairError:
             continue
+        if all(math.isfinite(y_top + abs(m.alpha) * x_top + abs(m.beta)) for m in mechs):
+            return mechs
     return None
 
 

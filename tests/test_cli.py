@@ -97,6 +97,21 @@ class TestDiscover:
                      "--out", str(tmp_path / "r.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("kmax, seed", [(2, 2), (4, 1), (4, 2)])
+    def test_seed_lines_that_overflow_on_finite_data_are_redrawn(self, tmp_path, kmax, seed):
+        # A seed pair at x = 0 and 1e-300 spans a line whose residuals at
+        # x >= 1e8 overflow; such a draw is redrawn, so the run ends normally
+        # (RuntimeWarnings are errors under pytest).
+        rng = np.random.default_rng(0)
+        x = np.concatenate([[0.0, 1e-300], rng.uniform(1e8, 2e9, 60)])
+        y = rng.uniform(-1, 1, 62) + 0.5
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        code = main(["discover", "--data", str(data), "--out", str(tmp_path / "r.json"),
+                     "--kmax", str(kmax), "--seed", str(seed)])
+        assert code == 0
+        assert json.loads((tmp_path / "r.json").read_text())["k_hat"] in range(kmax + 1)
+
     def test_malformed_csv_reports_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1.0,2.0\noops,3.0\n")

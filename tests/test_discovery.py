@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -24,7 +25,7 @@ from metacausal.discovery import (
     resamples_for,
     validate_k,
 )
-from metacausal.em import check_convergence, draw_seed_state, run_em
+from metacausal.em import DegeneratePairError, check_convergence, draw_seed_state, run_em
 from metacausal.stats import ADTestResult, B_FLOOR
 
 
@@ -80,6 +81,12 @@ class TestLoRansacBest:
         ds = Dataset(np.array([[0.0, 1.0], [1.0, 2.0]]))
         with pytest.raises(ValueError):
             lo_ransac_best(ds, 2, 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m, k", [(1, 1), (3, 2), (7, 4)])
+    def test_fewer_than_2k_points_cannot_seed(self, m, k):
+        ds = Dataset(np.random.default_rng(m).normal(size=(m, 2)))
+        with pytest.raises(DegeneratePairError, match=f"need at least {2 * k} points"):
+            lo_ransac_best(ds, k, 3, np.random.default_rng(0))
 
     def test_k1_restarts_identical(self):
         # the single-component M-step ignores the init, so two restarts tie
@@ -328,6 +335,16 @@ class TestRestartFanOut:
         assert pools == [2, 2]
         assert multiprocessing.active_children() == []
 
+    def test_pool_fans_out_by_task_count(self, pools):
+        # A one-task map runs here, whatever the worker count; a two-task map
+        # opens the pool.
+        with discovery._TaskPool(_fail_on_odd, 2) as pool:
+            assert pool.map([4]) == [4]
+            assert pools == []
+            assert pool.map([0, 2]) == [0, 2]
+            assert pools == [2]
+        assert multiprocessing.active_children() == []
+
     def test_k1_sixteen_restarts_on_two_cores(self, monkeypatch, pools):
         # A k = 1 stage stays in-process: pool slices would each run their
         # own first usable restart.
@@ -392,12 +409,14 @@ class TestK1FirstUsableRestart:
         assert calls["n"] == 1
         assert _bits(got) == _bits(_serial_best(data, 1, 5, np.random.default_rng(16)))
 
-    def test_equal_y_runs_every_restart(self, monkeypatch):
+    def test_equal_y_runs_em_once(self, monkeypatch):
+        # The y-to-x fit is degenerate, so each restart keeps its seed line
+        # y = 3, whose zero slope may carry either sign, with one score.
         x = np.random.default_rng(17).normal(size=40)
         data = Dataset(np.column_stack([x, np.full(40, 3.0)]))
         calls = _count_runs(monkeypatch)
         got = lo_ransac_best(data, 1, 5, np.random.default_rng(17))
-        assert calls["n"] == 5
+        assert calls["n"] == 1
         assert _bits(got) == _bits(_serial_best(data, 1, 5, np.random.default_rng(17)))
 
     def test_vertical_draws_before_the_first_usable_restart(self, monkeypatch):
@@ -623,3 +642,98 @@ class TestRecoverMechanismCount:
             warnings.simplefilter("error", RuntimeWarning)
             res = recover_mechanism_count(Dataset(base.points * factor), DiscoveryConfig())
         assert res.k_hat == want == 2
+
+
+# Run in a child process under one numpy SIMD dispatch: a seeded search
+# corpus and one convergence cell.  Each fitted mechanism is reported as
+# its direction, its line in the x-to-y frame, and the weighted A^2 of its
+# x-to-y and y-to-x fits under its responsibilities, the statistics whose
+# order picks the direction.
+_DISPATCH_CHILD = """
+import json
+from metacausal.datagen import Direction, random_dataset
+from metacausal.discovery import DiscoveryConfig, recover_mechanism_count
+from metacausal.em import params_in_frame
+from metacausal.reproduce import measure_convergence_cell
+from metacausal.stats import l1_fit, weighted_ad_statistic_laplace
+
+def a2(data, w):
+    stats = []
+    for cause, effect in ((data.x, data.y), (data.y, data.x)):
+        a, b = l1_fit(cause, effect, w)
+        stats.append(weighted_ad_statistic_laplace(effect - (a * cause + b), w))
+    return stats
+
+searches = []
+for seed in range(40, 56):
+    data = random_dataset(1 + seed % 2, 0.1, seed=seed, n_per_class_avg=100)
+    res = recover_mechanism_count(data, DiscoveryConfig(k_max=2, master_seed=seed))
+    stages = {
+        k: [[m.direction.value, *params_in_frame(m, Direction.XY), *a2(data, d.state.responsibilities[:, j])]
+            for j, m in enumerate(d.state.mechanisms)]
+        for k, d in res.per_k.items()
+    }
+    searches.append([res.k_hat, stages])
+print(json.dumps([searches, measure_convergence_cell(2, 0.1, scale=0.004).converged]))
+"""
+
+# Relative tolerance on a mechanism's slope and intercept across dispatches
+# (the largest move seen on this corpus was 3.1e-15), and the relative gap
+# between a mechanism's two A^2 within which its direction may flip.
+_LINE_RTOL = 1e-9
+_A2_FLIP_GAP = 1e-9
+
+
+def _dispatches():
+    """NPY_DISABLE_CPU_FEATURES value of each SIMD dispatch this CPU offers:
+    native, AVX2 (on an AVX-512 CPU) and the build's baseline."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        return {}
+    found = {"native": ""}
+    if __cpu_features__.get("X86_V4"):
+        found["avx2"] = "AVX512_SPR AVX512_ICL X86_V4"
+    baseline = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    if baseline:
+        found["baseline"] = " ".join(baseline)
+    return found
+
+
+def _rel(a, b):
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+class TestSimdDispatch:
+    """numpy's float64 exp, log and log1p return other last bits under
+    another SIMD dispatch; the decisions and the lines stay the same."""
+
+    @pytest.mark.skipif(len(_dispatches()) < 2, reason="one SIMD dispatch on this CPU")
+    def test_same_decisions_under_every_dispatch(self):
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(discovery.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+        )
+        children = {
+            name: subprocess.Popen(
+                [sys.executable, "-c", _DISPATCH_CHILD], stdout=subprocess.PIPE, text=True,
+                env={**env, "NPY_DISABLE_CPU_FEATURES": disabled} if disabled else env,
+            )
+            for name, disabled in _dispatches().items()
+        }
+        got = {}
+        for name, child in children.items():
+            out, _ = child.communicate(timeout=120)
+            assert child.returncode == 0, name
+            got[name] = json.loads(out)
+        native_searches, native_converged = got.pop("native")
+        for name, (searches, converged) in got.items():
+            assert converged == native_converged, name
+            for (k_hat, stages), (native_k_hat, native_stages) in zip(searches, native_searches):
+                assert k_hat == native_k_hat and stages.keys() == native_stages.keys(), name
+                for k, mechs in stages.items():
+                    for (d, a, b, *_), (nd, na, nb, xy, yx) in zip(mechs, native_stages[k]):
+                        if d == nd:
+                            assert _rel(a, na) <= _LINE_RTOL and _rel(b, nb) <= _LINE_RTOL, name
+                        else:
+                            assert _rel(xy, yx) <= _A2_FLIP_GAP, name

@@ -40,6 +40,21 @@ def _seeded_init(dataset, k, seed):
     raise AssertionError("could not draw a non-degenerate init")
 
 
+def _evaluable_init(dataset, k, seed):
+    """The retry loop, also redrawing seed lines whose residuals overflow."""
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        idx = rng.choice(dataset.m, size=2 * k, replace=False)
+        try:
+            mechs = init_from_pairs(dataset.points[idx])
+        except DegeneratePairError:
+            continue
+        with np.errstate(over="ignore"):
+            if all(np.isfinite(m.residuals(dataset.x, dataset.y)).all() for m in mechs):
+                return mechs
+    raise AssertionError("could not draw an evaluable init")
+
+
 # EM steps run_em may take, by mechanism count.
 STEP_BUDGET = {1: 5, 2: 5, 3: 10, 4: 10}
 
@@ -63,6 +78,14 @@ class TestInitFromPairs:
             warnings.simplefilter("error")
             with pytest.raises(DegeneratePairError, match="non-finite slope"):
                 init_from_pairs([(0, 0), (1e-300, 1e300)])
+
+    def test_overflowing_intercept_signals_resample_without_a_warning(self):
+        # A finite slope of 1e300 / 2**-23 crosses x = 1e9 past the float range.
+        x0 = 1e9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneratePairError, match="non-finite slope or intercept"):
+                init_from_pairs([(x0, 0.0), (np.nextafter(x0, 2e9), 1e300)])
 
     def test_lines_have_the_bits_of_float64_arithmetic(self):
         pts = np.random.default_rng(0).uniform(-5.0, 5.0, (40, 2))
@@ -101,6 +124,20 @@ class TestDrawSeedState:
         states = [draw_seed_state(ds, 2, rng, counting_init) for _ in range(20)]
         assert all(s is not None for s in states)
         assert len(seeded) > 20
+
+    def test_redraws_seed_lines_that_overflow_on_the_data(self):
+        # The pair at x = 0 and 1e-300 spans a line whose residual at x = 2e9
+        # overflows; every other draw is kept as the plain retry loop draws it.
+        ds = Dataset(np.column_stack([[0.0, 1e-300, 1e9, 2e9], [0.5, -0.5, 1.0, 0.0]]))
+        redrawn = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(40):
+                got = draw_seed_state(ds, 1, np.random.default_rng(seed))
+                assert got == _evaluable_init(ds, 1, seed)
+                assert np.isfinite(mixture_log_likelihood(ds, got))
+                redrawn += got != _seeded_init(ds, 1, seed)
+        assert 0 < redrawn < 40
 
     def test_gives_up_when_every_pair_is_vertical(self):
         ds = Dataset(np.array([[1.0, float(i)] for i in range(8)]))

@@ -410,6 +410,27 @@ class TestDescentSkipsTheCurrentLine:
         assert counts[1] == counts[0] - len(problems)
 
 
+class TestDescentStart:
+    """On continuous data the optimal line is unique, so where the descent
+    starts may change its path but not its bits.  (Tied data may hold
+    several optimal lines; their tie rule is separate work.)"""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        seed=st.integers(0, 2**32 - 1),
+        unit=st.booleans(),
+        anchor_draw=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_the_line_does_not_depend_on_the_start(self, n, seed, unit, anchor_draw):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-5, 5, n)
+        y = rng.uniform(-3, 3) * x + sample_laplace(rng, rng.uniform(0.1, 2.0), n)
+        w = np.ones(n) if unit else rng.uniform(0.05, 1.0, n)
+        lines = [stats._vertex_descent(x, y, w, a, {}) for a in (_start(x, y, w), int(anchor_draw * n))]
+        assert struct.pack("2d", *lines[0]) == struct.pack("2d", *lines[1])
+
+
 def _em_like_weights(rng, n):
     """Responsibility-like weights of one of four mechanisms: most near 0 or
     1, some exactly 0 and some between 1e-300 and 1e-290."""

@@ -288,11 +288,12 @@ def lo_ransac_best(
     they do inside a worker process.  Either way the outcomes are reduced in
     restart order by the same rule, and the winner's responsibilities are
     recomputed from its mechanisms, which gives the bits the EM run ended
-    with.  So the result does not depend on the core count.  A call runs as a search of one stage: its
-    pool, and the workers' copies of the slope orders, end with it, while
-    the orders filled here live as long as ``data``.
-    (:func:`recover_mechanism_count` passes the private ``_search`` so that
-    its stages share one pool.)
+    with.  So the result does not depend on the core count.
+
+    A call runs as a search of one stage: its pool, and the workers' copies
+    of the slope orders, end with it, while the orders filled here live as
+    long as ``data``.  (:func:`recover_mechanism_count` passes the private
+    ``_search`` so that its stages share one pool.)
 
     A k = 1 stage always runs here, as one slice that stops after its first
     usable restart, with the winner the full budget gives (see

@@ -6,10 +6,10 @@ fitting, maximum-likelihood scale estimation, and an Anderson-Darling
 goodness-of-fit test against the Laplace distribution with parameters
 estimated from the sample.
 
-One A^2 kernel, :func:`ad_statistic_laplace`, serves both the test and the
-Monte-Carlo calibration of its critical values, so the shipped cutoffs are
-quantiles of the very statistic the test computes.  The EM's direction
-choice uses the weighted form, :func:`weighted_ad_statistic_laplace`.
+One A^2 kernel, :func:`weighted_ad_statistic_laplace`, serves the EM's
+direction choice under responsibility weights, and at unit weights both the
+test and the Monte-Carlo calibration of its critical values, so the shipped
+cutoffs are quantiles of the very statistic the test computes.
 
 Line fits have one exact solver, the anchored weighted-median descent for
 simple L1 regression (Barrodale & Roberts 1973; Wesolowsky 1981), with a
@@ -46,7 +46,6 @@ __all__ = [
     "l1_fit",
     "estimate_scale",
     "anderson_darling_laplace",
-    "ad_statistic_laplace",
     "weighted_ad_statistic_laplace",
     "calibrate_critical_values",
 ]
@@ -77,7 +76,8 @@ AD_MIN_POINTS = 20
 
 
 class DegenerateFitError(ValueError):
-    """All x values coincide under the positive weights; no line is identifiable."""
+    """No line is identifiable: :func:`l1_fit` got fewer than two points of
+    positive weight, or the positively weighted x values all coincide."""
 
 
 class InsufficientDataError(ValueError):
@@ -348,40 +348,14 @@ def estimate_scale(residuals, weights=None) -> float:
     return max(B_FLOOR, float(np.dot(w, np.abs(r)) / total))
 
 
-def ad_statistic_laplace(residuals):
-    """A-squared statistic of residuals against a fitted Laplace distribution.
-
-    Works along the last axis: a 1-d sample gives a float, an ``(m, n)``
-    batch of samples an array of m statistics.  Each sample is centred at
-    its median, its scale estimated by maximum likelihood (the mean absolute
-    deviation, floored at ``B_FLOOR``), and
-    A^2 = -n - (1/n) sum_i (2i-1) [ln F(z_(i)) + ln(1-F(z_(n+1-i)))]
-    is evaluated on the sorted sample.  The median is read from the sorted
-    sample with ``np.median``'s arithmetic (the mean of the middle two for
-    even n).  A NaN residual makes the scale, and with it the statistic,
-    NaN whatever the centre.
-    """
-    r = np.asarray(residuals, dtype=float)
-    z = np.sort(r, axis=-1)
-    n = z.shape[-1]
-    h = n // 2
-    z = z - (z[..., h : h + 1] if n % 2 else (z[..., h - 1 : h] + z[..., h : h + 1]) / 2)
-    b = np.maximum(B_FLOOR, np.mean(np.abs(z), axis=-1, keepdims=True))
-    u = laplace_cdf(z, b)
-    np.clip(u, 1e-300, 1.0 - 1e-16, out=u)
-    i = np.arange(1, n + 1)
-    s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[..., ::-1])), axis=-1)
-    stat = -n - s / n
-    return float(stat) if r.ndim == 1 else stat
-
-
 def anderson_darling_laplace(residuals) -> ADTestResult:
     """Test one 1-d sample of residuals against the Laplace distribution at
     the 5% level.
 
     Location and scale are estimated from the sample (median and mean
-    absolute deviation), and the A^2 statistic is compared against a
-    critical value interpolated in n from the shipped Monte-Carlo
+    absolute deviation): the A^2 statistic is
+    :func:`weighted_ad_statistic_laplace` at unit weights.  It is compared
+    against a critical value interpolated in n from the shipped Monte-Carlo
     calibration table, clamped at its ends.
 
     Raises
@@ -399,7 +373,7 @@ def anderson_darling_laplace(residuals) -> ADTestResult:
         raise InsufficientDataError(
             f"Anderson-Darling test needs >= {AD_MIN_POINTS} residuals, got {len(r)}"
         )
-    stat = ad_statistic_laplace(r)
+    stat = weighted_ad_statistic_laplace(r, np.ones(len(r)))
     ns, cs = _shipped_critical_values()
     crit = float(np.interp(float(len(r)), ns, cs))
     return ADTestResult(statistic=stat, critical_value=crit, passed=stat <= crit, n=len(r))
@@ -425,21 +399,19 @@ def calibrate_critical_values(
 ) -> dict:
     """Monte-Carlo calibration of the estimated-parameter Laplace A^2 cutoffs.
 
-    For each sample size, simulates Laplace samples and computes their A^2
-    with the kernel :func:`anderson_darling_laplace` uses, then records the
-    (1 - level) quantile of the statistic.  Returns a payload dict ready to
-    be written as the package's critical-value JSON file.
+    For each sample size in turn, draws ``simulations`` Laplace samples of
+    that size, one after another from one seeded stream, computes each
+    one's A^2 as :func:`anderson_darling_laplace` does (the one kernel at
+    unit weights), and records the (1 - level) quantile of the statistic.
+    Returns a payload dict ready to be written as the package's
+    critical-value JSON file.
     """
     rng = np.random.default_rng(seed)
     table: dict[int, float] = {}
     for n in ns:
-        stats = np.empty(simulations)
-        chunk = max(1, min(simulations, 5_000_000 // n))
-        done = 0
-        while done < simulations:
-            m = min(chunk, simulations - done)
-            stats[done : done + m] = ad_statistic_laplace(sample_laplace(rng, 1.0, size=(m, n)))
-            done += m
+        unit = np.ones(n)
+        draws = (sample_laplace(rng, 1.0, size=n) for _ in range(simulations))
+        stats = [weighted_ad_statistic_laplace(r, unit) for r in draws]
         table[n] = float(np.quantile(stats, 1.0 - level))
     return {
         "meta": {
@@ -460,18 +432,30 @@ _LOG_1MU_FLOOR = float(np.log1p(-(1.0 - 1e-16)))
 
 
 def weighted_ad_statistic_laplace(residuals, weights) -> float:
-    """A^2 statistic generalized to weighted samples.
+    """A^2 statistic of weighted residuals against a fitted Laplace distribution.
 
-    Uses the weighted empirical CDF in the Anderson-Darling integral
-    W * int (F_hat - u)^2 / (u(1-u)) du, evaluated piecewise in closed form;
-    with unit weights this reduces to :func:`ad_statistic_laplace`.  Used to
-    compare causal directions on responsibility-weighted residuals, where
-    only the ordering of statistics matters (no critical value applies).
-    Points of weight 0 are dropped; a negative or NaN weight, an infinite
-    weight sum or a non-finite residual of a kept point raises ValueError.
+    The sample is centred at its weighted median (the mean of the middle two
+    where the weight splits exactly in half) and scaled by its weighted mean
+    absolute deviation, floored at ``B_FLOOR``.  The Anderson-Darling
+    integral W * int (F_hat - u)^2 / (u(1-u)) du over the weighted empirical
+    CDF F_hat is then evaluated piecewise in closed form.  At unit weights
+    this is, up to rounding, the classic
+    A^2 = -n - (1/n) sum_i (2i-1) [ln F(z_(i)) + ln(1-F(z_(n+1-i)))].
+
+    The one A^2 kernel: the EM compares causal directions with it on
+    responsibility-weighted residuals, where only the ordering of statistics
+    matters, and :func:`anderson_darling_laplace` and
+    :func:`calibrate_critical_values` run it at unit weights.
+
+    Points of weight 0 are dropped; with fewer than two left the statistic
+    is +inf.  Weights of another shape than the residuals, a negative or NaN
+    weight, an infinite weight sum or a non-finite residual of a kept point
+    raise ValueError.
     """
     r = np.asarray(residuals, dtype=float)
     w = np.asarray(weights, dtype=float)
+    if w.shape != r.shape:
+        raise ValueError(f"weights must match the data shape {r.shape}, got {w.shape}")
     keep = w > 0
     if not keep.all():
         if not (w >= 0).all():  # a NaN fails both comparisons

@@ -595,7 +595,7 @@ class TestRecoverMechanismCount:
         res = recover_mechanism_count(Dataset(np.column_stack([x, 2 * x + 1])), DiscoveryConfig(k_max=4))
         assert res.k_hat == 0 and list(res.per_k) == [1, 2, 3, 4]
         assert res.per_k[1].state.mechanisms == (MechanismParams(2.0, 1.0, B_FLOOR),)
-        assert res.per_k[1].ad_results == (ADTestResult(11.588830833596724, 0.9649880902876481, False, 30),)
+        assert res.per_k[1].ad_results == (ADTestResult(11.588830833596717, 0.9649880902876555, False, 30),)
         assert all(res.per_k[k].ad_results == (None,) * k for k in (2, 3, 4))
 
     def test_constant_x_gets_no_decision(self):

@@ -20,7 +20,6 @@ from metacausal.stats import (
     DegenerateFitError,
     InsufficientDataError,
     _shipped_critical_values,
-    ad_statistic_laplace,
     anderson_darling_laplace,
     calibrate_critical_values,
     estimate_scale,
@@ -562,8 +561,8 @@ class TestAndersonDarling:
     def test_statistic_location_invariant(self):
         rng = np.random.default_rng(101)
         r = sample_laplace(rng, 1.0, size=200)
-        assert ad_statistic_laplace(r) == pytest.approx(
-            ad_statistic_laplace(r + 17.3), rel=1e-9
+        assert anderson_darling_laplace(r).statistic == pytest.approx(
+            anderson_darling_laplace(r + 17.3).statistic, rel=1e-9
         )
 
     def test_result_invariant(self):
@@ -578,9 +577,15 @@ class TestAndersonDarling:
         assert all(0.5 < c < 2.0 for c in cs)
 
     def test_pinned_calibration(self):
-        # The cutoffs the calibration gave before it called the shared kernel.
+        # The cutoffs of the one kernel at unit weights.
         payload = calibrate_critical_values(ns=(50, 200), simulations=2000, seed=5)
-        assert payload["critical_values"] == {"50": 1.013746005375752, "200": 1.0469965576147926}
+        assert payload["critical_values"] == {"50": 1.0137460053757523, "200": 1.0469965576147986}
+
+    def test_shipped_table_is_the_calibration_of_the_kernel(self):
+        # The n = 50 draws come first in the default stream, so this one
+        # cutoff checks the shipped table against the kernel the test runs.
+        payload = calibrate_critical_values(ns=(50,))
+        assert payload["critical_values"]["50"] == dict(zip(*_shipped_critical_values()))[50]
 
     def test_quick_recalibration_agrees_with_shipped(self):
         payload = calibrate_critical_values(ns=(500,), simulations=3000, seed=5)
@@ -591,7 +596,7 @@ class TestAndersonDarling:
 
 
 def _ad_reference(residuals):
-    """The 1-d sorted-sum A^2 as the test computed it before the shared kernel."""
+    """The classic unweighted A^2 in its closed sorted-sum form."""
     r = np.asarray(residuals, dtype=float)
     z = np.sort(r - np.median(r))
     n = len(z)
@@ -602,63 +607,13 @@ def _ad_reference(residuals):
     return float(-n - s / n)
 
 
-def _ad_calibration_reference(x):
-    """The row-wise A^2 of an (m, n) batch as the calibration computed it
-    before the shared kernel."""
-    n = x.shape[1]
-    z = np.sort(x - np.median(x, axis=1, keepdims=True), axis=1)
-    b = np.maximum(B_FLOOR, np.mean(np.abs(z), axis=1, keepdims=True))
-    u = np.clip(laplace_cdf(z / b, 1.0), 1e-300, 1.0 - 1e-16)
-    i = np.arange(1, n + 1)
-    s = np.sum((2 * i - 1) * (np.log(u) + np.log1p(-u[:, ::-1])), axis=1)
-    return -n - s / n
-
-
-class TestADKernel:
-    """One kernel gives the bits of both earlier A^2 computations."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        n=st.integers(20, 2500),
-        rows=st.integers(1, 4),
-        seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["continuous", "ties", "offset", "nonfinite"]),
-        share=st.sampled_from([0.01, 0.3, 0.6, 1.0]),
-    )
-    def test_bits_match_both_references(self, n, rows, seed, kind, share):
-        rng = np.random.default_rng(seed)
-        x = sample_laplace(rng, rng.uniform(0.01, 5.0), size=(rows, n))
-        if kind == "ties":
-            x = np.round(x, 1)
-        elif kind == "offset":
-            x = x + 1e6
-        elif kind == "nonfinite":  # NaN and +-inf residuals, up to every one
-            hit = rng.uniform(size=x.shape) < share
-            x[hit] = rng.choice([np.nan, np.inf, -np.inf], size=int(hit.sum()))
-        with np.errstate(invalid="ignore"):
-            batch = ad_statistic_laplace(x)
-            assert batch.shape == (rows,)
-            assert batch.tobytes() == _ad_calibration_reference(x).tobytes()
-            for row, stat in zip(x, batch):
-                single = ad_statistic_laplace(row)
-                assert isinstance(single, float)
-                assert struct.pack("d", single) == struct.pack("d", stat)
-                want = _ad_reference(row)
-                if math.isnan(want):
-                    # The 1-d reference floors a NaN scale with Python's max, so
-                    # where the median is not finite its NaN may differ in sign.
-                    assert math.isnan(single)
-                else:
-                    assert single == want
-
-
 class TestWeightedADStatistic:
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 2500), seed=st.integers(0, 2**32 - 1))
     def test_reduces_to_classic_for_unit_weights(self, n, seed):
         rng = np.random.default_rng(seed)
         r = sample_laplace(rng, rng.uniform(0.1, 3.0), size=n)
-        assert abs(weighted_ad_statistic_laplace(r, np.ones(n)) - ad_statistic_laplace(r)) <= 1e-11
+        assert abs(weighted_ad_statistic_laplace(r, np.ones(n)) - _ad_reference(r)) <= 1e-11
 
     def test_duplicated_halved_weights_match(self):
         rng = np.random.default_rng(12)
@@ -666,7 +621,7 @@ class TestWeightedADStatistic:
         doubled = np.concatenate([r, r])
         halves = np.full(160, 0.5)
         assert weighted_ad_statistic_laplace(doubled, halves) == pytest.approx(
-            ad_statistic_laplace(r), rel=1e-9
+            _ad_reference(r), rel=1e-9
         )
 
     def test_zero_weights_dropped(self):
@@ -675,7 +630,7 @@ class TestWeightedADStatistic:
         r_noise = np.concatenate([r, [1e6, -1e6]])
         w = np.concatenate([np.ones(60), [0.0, 0.0]])
         assert weighted_ad_statistic_laplace(r_noise, w) == pytest.approx(
-            ad_statistic_laplace(r), abs=1e-10
+            _ad_reference(r), abs=1e-10
         )
 
     @pytest.mark.parametrize(
@@ -687,12 +642,17 @@ class TestWeightedADStatistic:
             ("residuals", math.nan, r"residuals must be finite, got nan in row 99"),
             ("residuals", math.inf, r"residuals must be finite, got inf in row 99"),
             ("residuals", -math.inf, r"residuals must be finite, got -inf in row 99"),
+            ("weights", np.ones(200), r"weights must match the data shape \(100,\), got \(200,\)"),
+            ("weights", np.ones(50), r"weights must match the data shape \(100,\), got \(50,\)"),
         ],
     )
     def test_bad_weight_or_residual_rejected(self, where, bad, message):
         rng = np.random.default_rng(14)
         data = {"residuals": sample_laplace(rng, 1.0, size=100), "weights": np.ones(100)}
-        data[where][-1] = bad
+        if np.ndim(bad):
+            data[where] = bad
+        else:
+            data[where][-1] = bad
         with pytest.raises(ValueError, match=message):
             weighted_ad_statistic_laplace(**data)
 

@@ -38,6 +38,7 @@ from .stats import (
     estimate_scale,
     l1_fit,
     laplace_logpdf,
+    line_fits,
     weighted_ad_statistic_laplace,
 )
 
@@ -121,12 +122,11 @@ def draw_seed_state(
 
     Draws ``rng.choice(data.m, 2k, replace=False)`` and returns ``init`` of
     the drawn points, redrawing while the draw holds a degenerate pair or a
-    line whose residuals on ``data`` could overflow; after 100 such draws it
-    returns None.  Callers pass their own binding of
+    line that fails :func:`stats.line_fits` on ``data``; after 100 such
+    draws it returns None.  Callers pass their own binding of
     :func:`init_from_pairs` as ``init``, so that a wrapper patched into the
     calling module (the benchmark's tracer) sees every seeding call.
     """
-    # |residual| <= max|y| + |alpha| max|x| + |beta|: in Python floats, inf with no warning.
     x_top, y_top = np.abs(data.points).max(axis=0).tolist()
     for _ in range(_SEED_PAIR_RETRIES):
         idx = rng.choice(data.m, size=2 * k, replace=False)
@@ -134,7 +134,7 @@ def draw_seed_state(
             mechs = init(data.points[idx])
         except DegeneratePairError:
             continue
-        if all(math.isfinite(y_top + abs(m.alpha) * x_top + abs(m.beta)) for m in mechs):
+        if all(line_fits(m.alpha, m.beta, x_top, y_top) for m in mechs):
             return mechs
     return None
 
@@ -215,8 +215,8 @@ def _refit_mechanism(data: Dataset, weights: np.ndarray, old: MechanismParams) -
     r_yx = data.x - (a_yx * data.y + b_yx)
     stat_xy = weighted_ad_statistic_laplace(r_xy, weights)
     stat_yx = weighted_ad_statistic_laplace(r_yx, weights)
-    # l1_fit has checked the weights, so the scale of the kept direction
-    # cannot raise.
+    # l1_fit has checked the weights and that each line's residuals on the
+    # data are finite, so neither A^2 nor the kept direction's scale raises.
     if stat_yx < stat_xy:
         return MechanismParams(a_yx, b_yx, estimate_scale(r_yx, weights), Direction.YX)
     return MechanismParams(a_xy, b_xy, estimate_scale(r_xy, weights), Direction.XY)

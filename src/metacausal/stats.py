@@ -67,17 +67,14 @@ _CERTIFY_RTOL = 1e-9
 # the orders of every anchor of a dataset of up to 2,016 points fit.
 _ORDER_CACHE_BYTES = 16 << 20
 _ORDER_ENTRY_OVERHEAD = 256
-# Data past this magnitude are scaled down for the descent's start line,
-# whose squares would overflow past about 1e154.
-_START_LIMIT = 2.0**256
 
 # Smallest sample the Anderson-Darling test accepts.
 AD_MIN_POINTS = 20
 
 
 class DegenerateFitError(ValueError):
-    """No line is identifiable: :func:`l1_fit` got fewer than two points of
-    positive weight, or the positively weighted x values all coincide."""
+    """No usable line: :func:`l1_fit` got under two points of positive weight,
+    or their x values all coincide, or the fitted line fails :func:`line_fits`."""
 
 
 class InsufficientDataError(ValueError):
@@ -154,19 +151,23 @@ def _checked_weights(weights, like: np.ndarray) -> np.ndarray:
 
 
 def _check_xyw(xs, ys, weights):
-    """The inputs as float arrays, checked, and the largest |x| or |y|."""
+    """The inputs as float arrays, checked, and (largest |x|, largest |y|)."""
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
         raise ValueError("xs and ys must be 1-d arrays of equal length")
     w = _checked_weights(weights, x)
-    top = 0.0
-    for name, arr in (("xs", x), ("ys", y)):
-        big = float(np.abs(arr).max(initial=0.0))  # NaN when arr holds one
-        if not math.isfinite(big):
-            check_finite(name, arr)  # raises
-        top = max(top, big)
-    return x, y, w, top
+    tops = float(np.abs(x).max(initial=0.0)), float(np.abs(y).max(initial=0.0))  # NaN for a NaN
+    if not math.isfinite(tops[0] + tops[1]):  # finite tops may sum to inf: then no check raises
+        check_finite("xs", x)
+        check_finite("ys", y)
+    return x, y, w, tops
+
+
+def line_fits(alpha: float, beta: float, x_top: float, y_top: float) -> bool:
+    """The overflow rule of seed and fitted lines: |y - alpha*x - beta| <= y_top + |alpha|*x_top
+    + |beta| is finite wherever |x| <= x_top and |y| <= y_top.  Python floats: inf, no warning."""
+    return math.isfinite(y_top + abs(alpha) * x_top + abs(beta))
 
 
 def _abs_residuals(x, y, alpha, beta):
@@ -183,18 +184,16 @@ def _l1_objective(x, y, w, alpha, beta):
     return float(r.sum())
 
 
-def _start_anchor(x, y, w, top: float) -> int:
+def _start_anchor(x, y, w, x_top: float, y_top: float) -> int:
     """The point nearest the weighted least-squares line, computed about the
     weighted means, where the descent starts.
 
-    When ``top``, a bound on |x| and |y|, passes ``_START_LIMIT``, the line
-    is fitted to the data divided by a power of two, so its squares stay
-    finite.  Ordinary data are not divided, so their start is the same bit
-    for bit.
+    The line is fitted to x and y each divided by the power of two of its
+    largest |value| (``x_top``, ``y_top``), which puts it in [1/2, 1), so its
+    sums stay in range whatever the units of x and y.  The division is exact,
+    so the anchor is the unscaled data's wherever those stay in range.
     """
-    if top > _START_LIMIT:
-        shift = -math.frexp(top)[1]
-        x, y = np.ldexp(x, shift), np.ldexp(y, shift)
+    x, y = np.ldexp(x, -math.frexp(x_top)[1]), np.ldexp(y, -math.frexp(y_top)[1])
     sw = w.sum()
     xm = np.dot(w, x) / sw
     ym = np.dot(w, y) / sw
@@ -239,19 +238,26 @@ def l1_fit(xs, ys, weights=None, orders=None) -> tuple[float, float]:
         If an input holds a non-finite value.
     DegenerateFitError
         If fewer than two points carry positive weight, or all positively
-        weighted x values coincide.
+        weighted x values coincide, or the fitted line fails
+        :func:`line_fits` over all the points, zero-weighted ones included.
     """
-    x, y, w, top = _check_xyw(xs, ys, weights)
+    x, y, w, tops = _check_xyw(xs, ys, weights)
     active = w > 0
     n_active = int(np.count_nonzero(active))
     if n_active < 2:
         raise DegenerateFitError("need at least two points with positive weight")
+    start_tops = tops
     if n_active < len(w):
         x, y, w = x[active], y[active], w[active]
         orders = None  # subset indices are not the caller's anchors
+        start_tops = float(np.abs(x).max()), float(np.abs(y).max())
     if (x == x[0]).all():
         raise DegenerateFitError("x values carry no spread under the given weights")
-    return _vertex_descent(x, y, w, _start_anchor(x, y, w, top), {} if orders is None else orders)
+    start = _start_anchor(x, y, w, *start_tops)
+    alpha, beta = _vertex_descent(x, y, w, start, {} if orders is None else orders)
+    if not line_fits(alpha, beta, *tops):
+        raise DegenerateFitError("the fitted line overflows on the data")
+    return alpha, beta
 
 
 def _anchored_line(x, y, w, anchor: int, orders: dict) -> tuple[float, float, int]:
@@ -366,14 +372,11 @@ def anderson_darling_laplace(residuals) -> ADTestResult:
         With fewer than ``AD_MIN_POINTS`` residuals.
     """
     r = np.asarray(residuals, dtype=float)
-    if r.ndim != 1:
-        raise ValueError(f"Anderson-Darling test takes one 1-d sample, got shape {r.shape}")
-    check_finite("residuals", r)
+    stat = weighted_ad_statistic_laplace(r, np.ones_like(r))  # checks that r is 1-d and finite
     if len(r) < AD_MIN_POINTS:
         raise InsufficientDataError(
             f"Anderson-Darling test needs >= {AD_MIN_POINTS} residuals, got {len(r)}"
         )
-    stat = weighted_ad_statistic_laplace(r, np.ones(len(r)))
     ns, cs = _shipped_critical_values()
     crit = float(np.interp(float(len(r)), ns, cs))
     return ADTestResult(statistic=stat, critical_value=crit, passed=stat <= crit, n=len(r))
@@ -448,12 +451,14 @@ def weighted_ad_statistic_laplace(residuals, weights) -> float:
     :func:`calibrate_critical_values` run it at unit weights.
 
     Points of weight 0 are dropped; with fewer than two left the statistic
-    is +inf.  Weights of another shape than the residuals, a negative or NaN
-    weight, an infinite weight sum or a non-finite residual of a kept point
-    raise ValueError.
+    is +inf.  Residuals that are not 1-d, weights of another shape, a
+    negative or NaN weight, an infinite weight sum or a non-finite residual
+    of a kept point raise ValueError.
     """
     r = np.asarray(residuals, dtype=float)
     w = np.asarray(weights, dtype=float)
+    if r.ndim != 1:
+        raise ValueError(f"residuals must be one 1-d sample, got shape {r.shape}")
     if w.shape != r.shape:
         raise ValueError(f"weights must match the data shape {r.shape}, got {w.shape}")
     keep = w > 0
@@ -498,16 +503,14 @@ def weighted_ad_statistic_laplace(residuals, weights) -> float:
     c = np.empty(n + 1)
     c[0] = 0.0
     np.divide(cum, total, out=c[1:])
-    # term1 = c^2 * d(ln u), zeroed where c > 0 fails; term2 = (1-c)^2 *
-    # d(ln 1/(1-u)), zeroed where c < 1 fails (the ECDF may end at or above 1).
+    # term1 = c^2 * d(ln u), +0.0 where c = 0 (u is sorted and clipped); term2 =
+    # (1-c)^2 * d(ln 1/(1-u)), zeroed where c >= 1 (the ECDF may end at or above 1).
     square = np.square(c)
     term1 = np.subtract(log_u[1:], log_u[:-1])
     term1 *= square
-    off = c > 0
-    np.copyto(term1, 0.0, where=np.logical_not(off, out=off))
     term2 = np.subtract(log_1mu[:-1], log_1mu[1:], out=log_u[:-1])
     np.square(np.subtract(1.0, c, out=square), out=square)
     term2 *= square
-    np.copyto(term2, 0.0, where=np.logical_not(np.less(c, 1.0, out=off), out=off))
+    np.copyto(term2, 0.0, where=c >= 1.0)
     term1 += term2
     return float(total * (term1.sum() - 1.0))

@@ -103,7 +103,7 @@ def moved(old: dict, new: dict) -> list[str]:
 
 def main(argv: list[str]) -> int:
     if argv != ["--record"]:
-        print(__doc__.strip().splitlines()[0], "\nusage: python tests/outputs.py --record", file=sys.stderr)
+        print("usage: python tests/outputs.py --record", file=sys.stderr)
         return 2
     new = compute()
     old = json.loads(RECORD.read_text(encoding="utf-8")) if RECORD.exists() else {}

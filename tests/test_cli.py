@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import linecache
 import math
 import os
 import subprocess
@@ -111,6 +112,29 @@ class TestDiscover:
                      "--kmax", str(kmax), "--seed", str(seed)])
         assert code == 0
         assert json.loads((tmp_path / "r.json").read_text())["k_hat"] in range(kmax + 1)
+
+    def test_axes_1e590_apart_end_normally(self, tmp_path, monkeypatch):
+        # x near 1e290 and y near 1e-300.  The start line and the fitted lines
+        # stay in range; the slope quotients of the descent still overflow, and
+        # the residuals of the lines they give are NaN.  The set of warnings is
+        # pinned, so that a fix of those shows here.
+        monkeypatch.setattr(discovery, "usable_cores", lambda: 1)  # no worker hides a warning
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal(40) * 1e290, rng.standard_normal(40) * 1e-300
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+        with pytest.warns(RuntimeWarning) as caught:
+            code = main(["discover", "--data", str(data), "--out", str(tmp_path / "r.json"),
+                         "--kmax", "2", "--seed", "0"])
+        assert code == 0
+        assert {(str(w.message), linecache.getline(w.filename, w.lineno).strip()) for w in caught} == {
+            ("overflow encountered in divide",
+             "slopes = np.divide(y - y[anchor], dx, out=np.full_like(dx, np.inf), where=dx != 0.0)"),
+            ("overflow encountered in scalar divide",
+             "alpha = float((y[partner] - y[anchor]) / run) if run != 0.0 else math.inf"),
+            ("invalid value encountered in subtract", "r = y - alpha * x - beta"),
+            ("invalid value encountered in subtract", "r -= beta"),
+        }
 
     def test_malformed_csv_reports_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -303,6 +303,18 @@ class TestEMSteps:
         assert resp[:, 1].sum() < 2.0
         assert em_step(ds, mechs, resp)[1] == mechs[1]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refit_whose_line_overflows_on_the_data_keeps_the_mechanism(self):
+        # Mechanism 0's whole weight lies on x = 0 and 1e-300: the line through
+        # them has a slope near 1e300, and its residuals at x >= 1e8 overflow.
+        rng = np.random.default_rng(0)
+        x = np.concatenate([[0.0, 1e-300], rng.uniform(1e8, 2e9, 60)])
+        ds = Dataset(np.column_stack([x, rng.uniform(-1, 1, 62) + 0.5]))
+        mechs = (MechanismParams(0.0, 0.5, 1.0), MechanismParams(0.0, 0.5, 1.0))
+        resp = np.zeros((62, 2))
+        resp[:2, 0] = resp[2:, 1] = 1.0
+        assert em_step(ds, mechs, resp)[0] == mechs[0]
+
     def test_responsibility_shape_checked(self):
         ds = random_dataset(2, 0.0, seed=5)
         mechs = ds.generator.mechanisms

@@ -143,6 +143,18 @@ class TestL1Fit:
         with pytest.raises(DegenerateFitError):
             l1_fit([1.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0, 0.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_x_spread_of_1e_300_fits_without_a_warning(self):
+        # Unscaled, the start line's weighted x variance underflows to 0.
+        assert l1_fit([0.0, 1e-300], [0.5, -0.5]) == (-9.999999999999999e299, 0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_line_whose_residuals_overflow_on_the_data_raises(self):
+        # The positively weighted pair spans slope -1e300; its residual at the
+        # zero-weighted x = 2e9 would overflow.
+        with pytest.raises(DegenerateFitError, match="the fitted line overflows on the data"):
+            l1_fit([0.0, 1e-300, 2e9], [0.5, -0.5, 0.0], [1, 1, 0])
+
     def test_needs_two_positive_weights(self):
         with pytest.raises(DegenerateFitError):
             l1_fit([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 0.0, 0.0])
@@ -363,7 +375,7 @@ def _vertex_descent_reference(x, y, w, anchor):
 
 def _start(x, y, w):
     """``l1_fit``'s start anchor on positively weighted data."""
-    return stats._start_anchor(x, y, w, stats._check_xyw(x, y, w)[3])
+    return stats._start_anchor(x, y, w, *stats._check_xyw(x, y, w)[3])
 
 
 class TestDescentSkipsTheCurrentLine:
@@ -428,6 +440,24 @@ class TestDescentStart:
         w = np.ones(n) if unit else rng.uniform(0.05, 1.0, n)
         lines = [stats._vertex_descent(x, y, w, a, {}) for a in (_start(x, y, w), int(anchor_draw * n))]
         assert struct.pack("2d", *lines[0]) == struct.pack("2d", *lines[1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 80),
+        seed=st.integers(0, 2**32 - 1),
+        unit=st.booleans(),
+        jx=st.integers(-1000, 1000),
+        jy=st.integers(-1000, 1000),
+    )
+    def test_the_start_does_not_depend_on_the_units(self, n, seed, unit, jx, jy):
+        # Each axis is divided by the power of two of its largest |value|, so
+        # x * 2**jx and y * 2**jy reach the start line as the same bits.
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-5, 5, n)
+        y = rng.uniform(-3, 3) * x + sample_laplace(rng, rng.uniform(0.1, 2.0), n)
+        w = np.ones(n) if unit else rng.uniform(0.05, 1.0, n)
+        assert _start(np.ldexp(x, jx), np.ldexp(y, jy), w) == _start(x, y, w)
 
 
 def _em_like_weights(rng, n):
@@ -644,6 +674,7 @@ class TestWeightedADStatistic:
             ("residuals", -math.inf, r"residuals must be finite, got -inf in row 99"),
             ("weights", np.ones(200), r"weights must match the data shape \(100,\), got \(200,\)"),
             ("weights", np.ones(50), r"weights must match the data shape \(100,\), got \(50,\)"),
+            ("residuals", np.ones((4, 25)), r"residuals must be one 1-d sample, got shape \(4, 25\)"),
         ],
     )
     def test_bad_weight_or_residual_rejected(self, where, bad, message):
